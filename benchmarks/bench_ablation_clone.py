@@ -1,6 +1,7 @@
 """Ablation: particle-cloning policy at resampling.
 
-DESIGN.md documents the substitution for the paper's latency experiment:
+The "Ablation: particle cloning at resampling" section of EXPERIMENTS.md
+documents the substitution for the paper's latency experiment:
 the OCaml runtime's per-step cost is proportional to the live heap
 (GC + state copies), which we model by cloning every selected particle
 at resampling (``clone_on_resample="all"``). The sharing optimization

@@ -1,7 +1,8 @@
 """Ablation: resampling schemes and resampling thresholds.
 
-Not a paper figure — an ablation over the design choices DESIGN.md
-calls out: (a) systematic vs stratified vs multinomial resampling,
+Not a paper figure — an ablation over the design choices the
+"Ablation: resampling scheme and trigger" section of EXPERIMENTS.md
+describes: (a) systematic vs stratified vs multinomial resampling,
 (b) resample-every-step (the paper's choice) vs ESS-triggered
 resampling, and (c) no resampling at all (the importance sampler whose
 weight collapse motivates Section 5.1's particle filter).

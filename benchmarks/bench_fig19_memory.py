@@ -3,8 +3,8 @@
 Reproduced shape: PF, BDS, and SDS use constant memory over time; DS
 memory grows linearly on Kalman and Outlier and stays constant on Coin.
 Memory is the live abstract words reachable from the particle states
-(the paper forces a GC and counts live heap words; see DESIGN.md for
-the substitution).
+(the paper forces a GC and counts live heap words; see the "Ideal
+memory per step" section of EXPERIMENTS.md for the substitution).
 """
 
 import numpy as np

@@ -209,8 +209,8 @@ class ModelAnalysis:
 
     ``conclusive`` says whether the analysis could see through the
     model; when it is False the remaining verdicts are conservative
-    defaults and callers should fall back to the empirical probe
-    (:func:`repro.delayed.detect.probe_ds_structure`).
+    defaults and routing takes no static opinion (the empirical probe,
+    :func:`repro.delayed.detect.probe_ds_structure`, can still be asked).
 
     The ``families`` / ``shape`` / ``forced`` / ``is_batchable``
     quadruple is directly comparable with

@@ -1,13 +1,12 @@
 """Analysis-first backend routing.
 
-The glue between the static analysis and engine selection. Before this
-module, ``infer(..., backend="auto")`` discovered the right backend
-*empirically*: try the vectorized registries, run the model, migrate to
-the scalar engines mid-stream when the graph rejects it. Now the
-ahead-of-time verdict is consulted first and the runtime probe
-(:func:`repro.delayed.detect.probe_ds_structure`) is demoted to
-confirmation — it only runs for models the analysis cannot see through
-(``conclusive=False``).
+The glue between the static analysis and engine selection:
+:func:`consult_for_backend` turns the ahead-of-time verdict on a model
+into the routing decision that ``infer(..., backend="auto")``
+(:func:`repro.inference.infer.select_engine`) combines with the model
+registry. Models the analysis cannot see through (``conclusive=False``)
+get no static opinion; the runtime's mid-stream scalar fallback keeps
+them correct.
 
 Every consultation increments ``repro_analysis_verdicts_total{verdict}``
 (always-on, like the scalar-fallback counters), so a fleet's routing
@@ -97,53 +96,31 @@ def record_verdict(analysis: ModelAnalysis) -> None:
     count_event("repro_analysis_verdicts_total", {"verdict": analysis.verdict})
 
 
-def _routed_model(model: Any) -> Any:
-    """The model the batched engine would actually run: the registered
-    lockstep adapter's rewrite when one exists, else the model itself.
-
-    Judging the raw model would mis-route adapted registrations — e.g.
-    the Outlier model branches on a forced value (conclusively
-    unbatchable), but its registration wraps it in the masked-affine
-    :class:`~repro.vectorized.models.GraphOutlierModel`, which is
-    squarely inside the fragment.
-    """
-    # Imported lazily: repro.vectorized lazily imports this module for
-    # registration-time verification.
-    try:
-        from repro.vectorized.models import DS_GRAPH_ADAPTERS
-    except Exception:
-        return model
-    adapter = DS_GRAPH_ADAPTERS.get(type(model))
-    if adapter is None:
-        return model
-    try:
-        return adapter(model)
-    except Exception:
-        return model
-
-
 def consult_for_backend(model: Any, method_key: str) -> Tuple[ModelAnalysis, Optional[bool]]:
-    """Should ``backend="auto"`` try the vectorized engines?
+    """Should ``backend="auto"`` try the vectorized engines for ``model``?
+
+    ``model`` is what the batched engine would run: the caller applies
+    a registered lockstep adapter first (the raw Outlier model branches
+    on a forced value, but its registration runs the masked-affine
+    :class:`~repro.vectorized.models.GraphOutlierModel` rewrite).
 
     Returns ``(analysis, decision)`` where ``decision`` is:
 
     * ``False`` — conclusively out of fragment for a delayed-sampling
-      method (wrong families, lockstep violation) even after the
-      registered lockstep adapter, if any: skip the vectorized
-      registries entirely and build the scalar engine.
+      method (wrong families, lockstep violation): skip the registry
+      entirely and build the scalar engine.
     * ``True`` — conclusively batchable *and* bounded: try the
       vectorized path, and the caller may construct a generic graph
       engine even on a registry miss.
     * ``None`` — no static opinion (inconclusive, a method whose
       vectorization is a registry property like ``pf``, or batchable
-      but unbounded — the registries may still serve it, but the
+      but unbounded — the registry may still serve it, but the
       analysis will not volunteer an engine whose graph grows without
-      bound): behave as before — registry lookup, runtime
-      probe/fallback as last resort.
+      bound): the registry alone decides.
 
     The verdict is recorded in ``repro_analysis_verdicts_total``.
     """
-    analysis = analysis_for(_routed_model(model))
+    analysis = analysis_for(model)
     record_verdict(analysis)
     if method_key not in ("sds", "bds"):
         # pf/importance vectorization is about having a step_batch

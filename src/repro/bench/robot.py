@@ -132,28 +132,10 @@ def reached_target(p_dist, config: RobotConfig) -> bool:
 
 
 # Register the robot tracker with the array-native delayed-sampling
-# backend. Unlike the scalar Kalman chains (whose conjugate structure is
-# declared by hand in repro.bench.models), the robot's chain structure is
-# *verified*: the static analysis proves the model stays inside the
-# batched fragment (mv-Gaussian transition, projection observations,
-# lockstep control flow) without executing it; the empirical two-step
-# probe — one instant with a GPS fix, one without, covering both
-# transition shapes — remains as confirmation when the analysis cannot
-# see through a future model edit. Either way, a model edit that breaks
-# the chain (a non-Gaussian sensor, a branch on a sampled value)
-# silently reverts to the scalar engines instead of crashing the
-# vectorized path.
-from repro.analysis.routing import analysis_for  # noqa: E402
-from repro.vectorized.models import register_gaussian_chain_model  # noqa: E402
+# backend. The default verification runs the static analysis on the
+# model and warns if a model edit ever takes it out of the batched
+# fragment (a non-Gaussian sensor, a branch on a sampled value); auto
+# routing then sends it to the scalar engines.
+from repro.vectorized.models import register_ds_graph_model  # noqa: E402
 
-_analysis = analysis_for(RobotModel())
-if _analysis.conclusive:
-    _chain_ok = _analysis.batchable and _analysis.bounded
-else:
-    from repro.delayed.detect import probe_gaussian_chain  # noqa: E402
-
-    _chain_ok = probe_gaussian_chain(
-        RobotModel(), [(0.0, 0.0, 0.0), (0.1, None, 0.0)]
-    ).is_chain
-if _chain_ok:
-    register_gaussian_chain_model(RobotModel)
+register_ds_graph_model(RobotModel)

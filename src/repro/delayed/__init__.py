@@ -26,18 +26,14 @@ from repro.delayed.interface import (
 from repro.delayed.detect import (
     BATCHABLE_FAMILIES,
     GAUSSIAN_FAMILIES,
-    ChainProbeReport,
     DSStructureReport,
     probe_ds_structure,
-    probe_gaussian_chain,
 )
 from repro.delayed.node import DSNode, NodeState, family_of_dist
 from repro.delayed.streaming import StreamingGraph
 
 __all__ = [
-    "ChainProbeReport",
     "DSStructureReport",
-    "probe_gaussian_chain",
     "probe_ds_structure",
     "GAUSSIAN_FAMILIES",
     "BATCHABLE_FAMILIES",

@@ -13,33 +13,22 @@ flow never branches on
 a per-particle value — the lockstep condition that lets one run of the
 model's code drive all particles at once.
 
-Two probes answer that question *empirically*:
+:func:`probe_ds_structure` answers that question *empirically*: it
+first runs the scalar model against an instrumented pointer-minimal
+graph over a short probe input stream, reporting the conjugacy families
+touched, how many realizations were forced outside ``observe``, and the
+shape of the structure (``"chain"`` when one sampled variable line
+exists, ``"tree"`` when a step assumes several sampled roots — the
+Outlier model's Beta branch beside its position chain). When the model
+uses forced realization or families beyond the Gaussian pair, the
+verdict is confirmed by a small *batched* smoke run (a 3-particle
+:class:`~repro.vectorized.sds_graph.BatchedDSGraph`): only a model whose
+batched execution actually succeeds is reported batchable.
 
-* :func:`probe_gaussian_chain` — the PR-4 detector, restricted to the
-  linear-Gaussian chain fragment (Gaussian families only, no forced
-  realization). Kept for conservative callers.
-* :func:`probe_ds_structure` — the general detector: it first runs the
-  scalar model against an instrumented pointer-minimal graph over a
-  short probe input stream, reporting the conjugacy families touched,
-  how many realizations were forced outside ``observe``, and the shape
-  of the structure (``"chain"`` when one sampled variable line exists,
-  ``"tree"`` when a step assumes several sampled roots — the Outlier
-  model's Beta branch beside its position chain). When the model uses
-  forced realization or families beyond the Gaussian pair, the verdict
-  is confirmed by a small *batched* smoke run (a 3-particle
-  :class:`~repro.vectorized.sds_graph.BatchedDSGraph`): only a model
-  whose batched execution actually succeeds is reported batchable.
-
-The benchmark layer uses the probes to register its models with the
-vectorized backend (see ``repro.bench.robot`` and
-``repro.bench.models``); user models can do the same::
-
-    from repro.delayed.detect import probe_ds_structure
-    from repro.vectorized import register_ds_graph_model
-
-    report = probe_ds_structure(MyModel(), probe_inputs)
-    if report.is_batchable:
-        register_ds_graph_model(MyModel)
+Routing does not run the probe: it trusts the static analysis
+(:mod:`repro.analysis`), which answers the same question without
+executing the model. The probe is the oracle the analysis is
+cross-checked against in the test suite.
 """
 
 from __future__ import annotations
@@ -52,15 +41,13 @@ import numpy as np
 from repro.delayed.streaming import StreamingGraph
 
 __all__ = [
-    "ChainProbeReport",
     "DSStructureReport",
-    "probe_gaussian_chain",
     "probe_ds_structure",
     "GAUSSIAN_FAMILIES",
     "BATCHABLE_FAMILIES",
 ]
 
-#: conjugacy families of the linear-Gaussian chain fragment (PR 4).
+#: conjugacy families of the linear-Gaussian chain fragment.
 GAUSSIAN_FAMILIES = frozenset({"gaussian", "mv_gaussian"})
 
 #: conjugacy families the generic batched DS graph implements.
@@ -76,25 +63,6 @@ BATCHABLE_FAMILIES = frozenset(
         "categorical",
     }
 )
-
-
-@dataclass(frozen=True)
-class ChainProbeReport:
-    """What a probe run of a model observed.
-
-    ``is_chain`` is the verdict; the remaining fields say why: the
-    conjugacy ``families`` touched, how many realizations were
-    ``forced`` outside ``observe`` (value forcing / dependency
-    breaking — both defeat lockstep batching), the number of probe
-    ``steps`` executed, and a human-readable ``reason`` when the model
-    is rejected.
-    """
-
-    is_chain: bool
-    families: frozenset = frozenset()
-    forced: int = 0
-    steps: int = 0
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -120,7 +88,7 @@ class DSStructureReport:
 
     @property
     def is_chain(self) -> bool:
-        """PR-4 compatibility: batchable, Gaussian-only, nothing forced."""
+        """A linear-Gaussian chain: batchable, Gaussian-only, nothing forced."""
         return (
             self.is_batchable
             and self.forced == 0
@@ -191,52 +159,6 @@ def _run_scalar_probe(model: Any, inputs: Sequence[Any], seed: int):
     return graph, steps, None
 
 
-def probe_gaussian_chain(
-    model: Any,
-    inputs: Sequence[Any],
-    seed: int = 0,
-) -> ChainProbeReport:
-    """Run ``model`` over ``inputs`` and report its chain structure.
-
-    The probe executes the model's *scalar* delayed-sampling semantics
-    (a single pointer-minimal graph, i.e. one particle) for a few steps.
-    Two or more inputs are recommended so both the initial and the
-    steady-state transition structure are observed — e.g. for the robot
-    tracker, one step with a GPS fix and one without.
-
-    The verdict is conservative in both directions it needs to be:
-    a model is a chain only if every assumed variable is Gaussian /
-    multivariate Gaussian *and* no realization happened outside
-    ``observe`` (``ctx.value`` forcing, or ``assume`` breaking a
-    non-affine dependency by realization). A model that raises a graph
-    or symbolic error (e.g. branching on a symbolic value) is likewise
-    not a chain. Models that use the wider batched fragment — Beta /
-    Bernoulli slots, forced indicators — are rejected here but may
-    still be batchable; ask :func:`probe_ds_structure`.
-    """
-    if not inputs:
-        return ChainProbeReport(False, reason="no probe inputs provided")
-    graph, steps, error = _run_scalar_probe(model, inputs, seed)
-    families = frozenset(graph.families)
-    if error is not None:
-        return ChainProbeReport(False, families=families, steps=steps, reason=error)
-    # Each observe realizes exactly one node; anything beyond that was a
-    # forced realization (ctx.value or dependency breaking).
-    forced = graph.n_realized - graph.observed
-    if not families <= GAUSSIAN_FAMILIES:
-        extra = sorted(families - GAUSSIAN_FAMILIES)
-        return ChainProbeReport(
-            False, families, forced, steps,
-            reason=f"non-Gaussian families in the graph: {extra}",
-        )
-    if forced > 0:
-        return ChainProbeReport(
-            False, families, forced, steps,
-            reason=f"{forced} realization(s) forced outside observe",
-        )
-    return ChainProbeReport(True, families, forced, steps)
-
-
 def _run_batched_probe(
     model: Any, inputs: Sequence[Any], seed: int, n: int
 ) -> Optional[str]:
@@ -246,9 +168,7 @@ def _run_batched_probe(
     outside the anticipated graph/symbolic/inference family, e.g. a
     numpy shape error or an ``AttributeError`` in user model code — is
     converted to a structured, stage-tagged reason string and never
-    propagated, and the smoke run touches no global registries. A
-    failed probe therefore cannot abort a caller's registration block
-    halfway and leave a model partially registered.
+    propagated, and the smoke run touches no global registry.
     """
     # Imported lazily: repro.vectorized imports this module's package.
     from repro.vectorized.sds_graph import BatchedDelayedCtx, BatchedDSGraph
@@ -281,8 +201,7 @@ def probe_ds_structure(
 ) -> DSStructureReport:
     """Run ``model`` over ``inputs``; report families, shape, batchability.
 
-    The general counterpart of :func:`probe_gaussian_chain` for the
-    generic batched DS graph. The scalar probe collects the family set,
+    The scalar probe collects the family set,
     the forced-realization count, and the structure shape; a model
     whose families lie inside :data:`BATCHABLE_FAMILIES` is then
     *verified* by a ``batch_check``-particle batched smoke run whenever

@@ -10,10 +10,10 @@ samplers are selected by name.
 reference engines, one Python object per particle), ``"vectorized"``
 (the structure-of-arrays engines of :mod:`repro.vectorized`, which
 advance the whole particle population per array operation), or
-``"auto"``. With ``"vectorized"`` or ``"auto"`` the scalar engine is
-used automatically when the model/method pair has no vectorized
-equivalent, so the parameter never changes *what* is computed — only
-how fast.
+``"auto"``. With ``"vectorized"`` or ``"auto"`` one routing decision,
+:func:`select_engine`, picks the engine; the scalar engine is used when
+the model/method pair has no vectorized equivalent, so the parameter
+never changes *what* is computed — only how fast.
 
 ``executor`` selects where the step runs (:mod:`repro.exec`):
 ``"serial"``, ``"threads:N"``, ``"processes:N"``,
@@ -29,6 +29,7 @@ fixed seed. This knob, too, never changes *what* is computed.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -103,47 +104,77 @@ def infer(
             f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
         )
     kwargs = dict(
-        kwargs, executor=executor, n_shards=n_shards, diagnostics=diagnostics
+        kwargs,
+        n_particles=n_particles,
+        seed=seed,
+        rng=rng,
+        executor=executor,
+        n_shards=n_shards,
+        diagnostics=diagnostics,
     )
+    if backend == "scalar":
+        return ENGINES[key](model, **kwargs)
+    return select_engine(model, key, backend, **kwargs)
+
+
+def select_engine(
+    model: ProbNode, key: str, backend: str, **engine_kwargs
+) -> InferenceEngine:
+    """Pick and build the engine for ``backend="vectorized"`` or ``"auto"``.
+
+    The model's :data:`~repro.vectorized.models.MODEL_REGISTRY` entry
+    and, for ``"auto"``, the static analysis verdict on the model the
+    batched engine would run (the registered lockstep adapter's rewrite,
+    if any) decide, in this order:
+
+    * ``"unbatchable"`` — ``"auto"``, a delayed-sampling method, and the
+      analysis conclusively rejects the model: the scalar engine, even
+      for a registered class;
+    * ``"registry"`` — the entry provides a batched engine for the
+      method: the batched particle filter for ``pf``, the closed-form
+      engine for ``sds``, else the DS graph engine for ``sds``/``bds``;
+    * ``"analysis"`` — ``"auto"``, ``sds``/``bds``, no registered engine,
+      and the analysis finds the model conclusively batchable and
+      bounded: the DS graph engine on the model as given. A
+      construction error propagates;
+    * ``"unregistered"`` — anything else: the scalar engine.
+
+    Each call counts ``repro_engine_selected_total{engine,reason}``.
+    """
+    # Imported lazily: repro.vectorized and repro.analysis depend on the
+    # scalar engines, so module-level imports here would be circular.
+    from repro.analysis import routing
+    from repro.obs import count_event
+    from repro.vectorized.engine import (
+        VectorizedGaussianChainSDS,
+        VectorizedParticleFilter,
+    )
+    from repro.vectorized.models import MODEL_REGISTRY, ModelEntry, vectorize_model
+
+    entry = MODEL_REGISTRY.get(type(model), ModelEntry())
+    routed = model if entry.graph is None else entry.graph(model)
     decision = None
     if backend == "auto":
-        # Analysis first: the static verdict decides whether the
-        # vectorized registries are even worth consulting. The runtime
-        # probe and the mid-stream scalar fallback remain as
-        # confirmation for models the analysis cannot see through.
-        from repro.analysis.routing import consult_for_backend
-
-        _, decision = consult_for_backend(model, key)
-        if decision is False:
-            return ENGINES[key](
-                model, n_particles=n_particles, seed=seed, rng=rng, **kwargs
-            )
-    if backend in ("vectorized", "auto"):
-        # Imported lazily: repro.vectorized depends on the scalar
-        # engines, so a module-level import here would be circular.
-        from repro.vectorized.engine import make_vectorized_engine
-
-        engine = make_vectorized_engine(
-            key, model, n_particles=n_particles, seed=seed, rng=rng, **kwargs
-        )
-        if engine is not None:
-            return engine
-        if decision is True and key in ("sds", "bds"):
-            # Conclusively batchable but unregistered: build the generic
-            # graph engine directly. Construction failures fall through
-            # to the scalar engine (the analysis was optimistic about a
-            # shape the graph runtime does not cover yet).
-            from repro.vectorized.engine import VectorizedGaussianChainSDS
-
-            try:
-                return VectorizedGaussianChainSDS(
-                    model,
-                    mode=key,
-                    n_particles=n_particles,
-                    seed=seed,
-                    rng=rng,
-                    **kwargs,
-                )
-            except Exception:
-                pass
-    return ENGINES[key](model, n_particles=n_particles, seed=seed, rng=rng, **kwargs)
+        # Looked up on the module at call time, where tracers wrap it.
+        _, decision = routing.consult_for_backend(routed, key)
+    batched = vectorize_model(model) if key in ("pf", "particle_filter") else None
+    delayed = key in ("sds", "bds")
+    graph_engine = partial(VectorizedGaussianChainSDS, mode=key)
+    if decision is False:
+        factory, reason = ENGINES[key], "unbatchable"
+    elif batched is not None:
+        factory, model, reason = VectorizedParticleFilter, batched, "registry"
+    elif key == "sds" and entry.sds is not None:
+        factory, reason = entry.sds, "registry"
+    elif delayed and entry.graph is not None:
+        factory, model, reason = graph_engine, routed, "registry"
+    elif delayed and decision:
+        factory, reason = graph_engine, "analysis"
+    else:
+        factory, reason = ENGINES[key], "unregistered"
+    engine = factory(model, **engine_kwargs)
+    count_event(
+        "repro_engine_selected_total",
+        {"engine": type(engine).__name__, "reason": reason},
+    )
+    return engine

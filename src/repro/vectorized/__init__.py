@@ -14,7 +14,8 @@ Select it through the public API::
     engine = infer(model, n_particles=1000, method="pf", backend="vectorized")
 
 which falls back to the scalar engines when the model has no vectorized
-equivalent (see :func:`vectorize_model`).
+equivalent. :data:`MODEL_REGISTRY` records, per model class, which
+batched engines it has (see :func:`repro.inference.infer.select_engine`).
 """
 
 from repro.vectorized.batch import (
@@ -39,14 +40,12 @@ from repro.vectorized.engine import (
     VectorizedEngine,
     VectorizedGaussianChainSDS,
     VectorizedKalmanSDS,
-    VectorizedOutlierSDS,
     VectorizedParticleFilter,
 )
 from repro.vectorized.sds_graph import (
     FAMILY_KERNELS,
     BatchedDelayedCtx,
     BatchedDSGraph,
-    BatchedGaussianChainGraph,
     BatchedNode,
     BetaBernoulliEdge,
     ChainOuts,
@@ -67,19 +66,14 @@ from repro.vectorized.kernels import (
     supports_batch,
 )
 from repro.vectorized.models import (
-    BDS_ENGINES,
-    CONJUGATE_GAUSSIAN_CHAINS,
-    SDS_ENGINES,
-    VECTORIZED_MODELS,
+    MODEL_REGISTRY,
     GraphOutlierModel,
+    ModelEntry,
     VectorizedCoin,
     VectorizedKalman,
     VectorizedModel,
     VectorizedOutlier,
-    register_bds_engine,
-    register_conjugate_gaussian_chain,
     register_ds_graph_model,
-    register_gaussian_chain_model,
     register_sds_engine,
     register_vectorizer,
     vectorize_model,
@@ -103,10 +97,8 @@ __all__ = [
     "VectorizedKalmanSDS",
     "VectorizedGaussianChainSDS",
     "VectorizedBetaBernoulliSDS",
-    "VectorizedOutlierSDS",
     "ScalarFallbackState",
     "BatchedDSGraph",
-    "BatchedGaussianChainGraph",
     "BatchedDelayedCtx",
     "BatchedNode",
     "BetaBernoulliEdge",
@@ -130,25 +122,11 @@ __all__ = [
     "VectorizedCoin",
     "VectorizedOutlier",
     "GraphOutlierModel",
-    "VECTORIZED_MODELS",
-    "CONJUGATE_GAUSSIAN_CHAINS",
-    "SDS_ENGINES",
-    "BDS_ENGINES",
+    "ModelEntry",
+    "MODEL_REGISTRY",
     "register_vectorizer",
-    "register_conjugate_gaussian_chain",
     "register_sds_engine",
-    "register_bds_engine",
     "register_ds_graph_model",
-    "register_gaussian_chain_model",
     "vectorize_model",
 ]
 
-
-def __getattr__(name: str):
-    if name == "ChainFragmentError":
-        # Deprecated alias; the sds_graph module-level shim emits the
-        # DeprecationWarning and returns ChainStructureError.
-        from repro.vectorized import sds_graph
-
-        return getattr(sds_graph, "ChainFragmentError")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,9 +22,9 @@ count:
 * :class:`VectorizedBetaBernoulliSDS` — the same idea for the Coin
   model's Beta-Bernoulli chain: per-particle ``(alpha, beta)`` vectors,
   conjugate updates, exact predictive weights.
-* :class:`VectorizedOutlierSDS` — the Rao-Blackwellized Outlier model:
-  a conjugate Gaussian position chain plus a Beta-Bernoulli outlier
-  indicator whose forced realization becomes a masked batched update.
+* :class:`VectorizedGaussianChainSDS` — every other delayed-sampling
+  model in the batched fragment (``sds`` and ``bds``), over the generic
+  array-native graph of :mod:`repro.vectorized.sds_graph`.
 
 All subclass :class:`~repro.inference.engine.InferenceEngine`, reusing
 its configuration surface (``resampler``, ``resample_threshold``,
@@ -41,7 +41,7 @@ each advanced with its own RNG substream.
 from __future__ import annotations
 
 import warnings
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Tuple, Union
 
 import numpy as np
 
@@ -78,9 +78,7 @@ from repro.vectorized.dists import (
     MvGaussianMixtureArray,
 )
 from repro.vectorized.kernels import (
-    bernoulli_sample,
     beta_bernoulli_log_prob,
-    beta_bernoulli_predictive,
     beta_bernoulli_update,
     gaussian_log_prob,
 )
@@ -103,9 +101,7 @@ __all__ = [
     "VectorizedKalmanSDS",
     "VectorizedGaussianChainSDS",
     "VectorizedBetaBernoulliSDS",
-    "VectorizedOutlierSDS",
     "ScalarFallbackState",
-    "make_vectorized_engine",
 ]
 
 
@@ -405,9 +401,9 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
     projections of vector states, Beta-Bernoulli, Gamma-Poisson, and
     Dirichlet-Categorical slots, and tree-shaped combinations of these
     (the Outlier model's Beta→Bernoulli branch beside its Gaussian
-    position chain) — as admitted by the structure detector
-    (:func:`repro.delayed.detect.probe_ds_structure`) and the
-    registries in :mod:`repro.vectorized.models`.
+    position chain) — as admitted by the static analysis
+    (:mod:`repro.analysis`) and the registry in
+    :mod:`repro.vectorized.models`.
 
     ``mode`` selects the paper's two streaming delayed samplers:
 
@@ -676,134 +672,3 @@ class VectorizedBetaBernoulliSDS(VectorizedEngine):
     def _output_distribution(self, outs, weights) -> Distribution:
         alpha, beta = outs
         return BetaMixtureArray(alpha, beta, weights)
-
-
-class VectorizedOutlierSDS(VectorizedEngine):
-    """Rao-Blackwellized SDS for the Outlier model, batched (retired).
-
-    The scalar SDS engine keeps two symbolic chains per particle: the
-    conjugate Gaussian position and the Beta outlier probability, whose
-    Bernoulli child is force-realized each step (``ctx.value``) to
-    branch on. Batched, that becomes: draw the indicator from the
-    posterior predictive ``alpha/(alpha+beta)``, condition the Beta on
-    the realized value, and apply the Kalman update / predictive weight
-    only where the sensor is trusted — a masked blend over the
-    population, one array operation per quantity.
-
-    Since PR 5 the Outlier model runs on the *generic* batched DS graph
-    (``VectorizedGaussianChainSDS`` over a
-    :class:`~repro.vectorized.models.GraphOutlierModel` adapter), whose
-    per-particle masked affine edge performs exactly this arithmetic —
-    bit-identical at a fixed seed. This hand-written engine is no
-    longer registered; it survives as the equivalence oracle in the
-    test suite (``tests/vectorized/test_generic_graph.py``).
-    """
-
-    _PARAMS = (
-        "prior_mean",
-        "prior_var",
-        "motion_var",
-        "obs_var",
-        "outlier_alpha",
-        "outlier_beta",
-        "outlier_mean",
-        "outlier_var",
-    )
-
-    def __init__(self, model: Any, **kwargs):
-        if not all(hasattr(model, p) for p in self._PARAMS):
-            raise InferenceError(
-                f"model {type(model).__name__} is not Outlier-shaped; "
-                "VectorizedOutlierSDS needs prior/motion/obs/outlier parameters"
-            )
-        super().__init__(model, **kwargs)
-
-    def _init_batch_state(self, n: int, rng: np.random.Generator) -> Any:
-        return None  # (alpha, beta, post_mean, post_var) after step 1
-
-    def _step_batch(self, state: Any, yobs: Any, n: int, rng: np.random.Generator):
-        model = self.model
-        if state is None:
-            alpha = np.full(n, float(model.outlier_alpha))
-            beta = np.full(n, float(model.outlier_beta))
-            pred_mean = np.full(n, float(model.prior_mean))
-            pred_var = np.full(n, float(model.prior_var))
-        else:
-            alpha, beta, post_mean, post_var = state
-            pred_mean = post_mean
-            pred_var = post_var + model.motion_var
-        # Forced realization of the indicator: sample the posterior
-        # predictive, then condition the Beta on the drawn value.
-        is_outlier = bernoulli_sample(beta_bernoulli_predictive(alpha, beta), rng)
-        alpha, beta = beta_bernoulli_update(is_outlier, alpha, beta)
-        yobs = float(yobs)
-        gain = pred_var / (pred_var + model.obs_var)
-        upd_mean = pred_mean + gain * (yobs - pred_mean)
-        upd_var = (1.0 - gain) * pred_var
-        step_logw = np.where(
-            is_outlier,
-            gaussian_log_prob(yobs, model.outlier_mean, model.outlier_var),
-            gaussian_log_prob(yobs, pred_mean, pred_var + model.obs_var),
-        )
-        post_mean = np.where(is_outlier, pred_mean, upd_mean)
-        post_var = np.where(is_outlier, pred_var, upd_var)
-        return (
-            (post_mean, post_var),
-            (alpha, beta, post_mean, post_var),
-            step_logw,
-        )
-
-    def _output_distribution(self, outs, weights) -> Distribution:
-        post_mean, post_var = outs
-        return GaussianMixtureArray(post_mean, post_var, weights)
-
-
-def make_vectorized_engine(method_key: str, model: Any, **kwargs) -> Optional[VectorizedEngine]:
-    """The vectorized engine for a ``(method, model)`` pair, or None.
-
-    This is the fallback policy behind ``infer(..., backend=...)``:
-
-    * ``"pf"`` vectorizes whenever the model has a batched equivalent;
-    * ``"sds"`` vectorizes models whose delayed-sampling semantics has a
-      registered engine — the ``SDS_ENGINES`` registry (the closed-form
-      Beta-Bernoulli Coin engine, plus any model routed to
-      :class:`VectorizedGaussianChainSDS` by
-      ``register_ds_graph_model`` — linear-Gaussian chains and, since
-      the generic graph, tree-shaped models like Outlier) or the
-      conjugate Gaussian chains of :class:`VectorizedKalmanSDS`
-      (registered via ``register_conjugate_gaussian_chain`` — exact
-      classes only, because a subclass may override ``step`` with
-      non-conjugate structure the closed-form update would miss);
-    * ``"bds"`` vectorizes models in the ``BDS_ENGINES`` registry —
-      models running on the generic array-native graph of
-      :mod:`repro.vectorized.sds_graph` with forced end-of-step
-      realization.
-
-    Everything else (``"ds"``, ``"importance"``, unknown models)
-    reports None so the caller uses the scalar engine.
-    """
-    from repro.vectorized.models import (
-        BDS_ENGINES,
-        CONJUGATE_GAUSSIAN_CHAINS,
-        SDS_ENGINES,
-        VectorizedKalman,
-    )
-
-    if method_key in ("pf", "particle_filter"):
-        batched = vectorize_model(model)
-        if batched is None:
-            return None
-        return VectorizedParticleFilter(batched, **kwargs)
-    if method_key == "sds":
-        factory = SDS_ENGINES.get(type(model))
-        if factory is not None:
-            return factory(model, **kwargs)
-        if type(model) in CONJUGATE_GAUSSIAN_CHAINS or isinstance(model, VectorizedKalman):
-            return VectorizedKalmanSDS(model, **kwargs)
-        return None
-    if method_key == "bds":
-        factory = BDS_ENGINES.get(type(model))
-        if factory is not None:
-            return factory(model, **kwargs)
-        return None
-    return None

@@ -9,18 +9,20 @@ at a time through :class:`~repro.inference.contexts.SamplingCtx`.
 
 The classes here mirror ``repro.bench.models`` exactly (same
 parameters, same sampling semantics, so the same posterior laws); the
-:func:`vectorize_model` registry maps a scalar model instance to its
-batched equivalent, which is how ``infer(..., backend="vectorized")``
-decides whether a model is vectorizable. The registry starts empty and
-is populated by the layers that own the scalar models (the benchmark
-package registers its four models when imported), so this core package
-never depends on them.
+:data:`MODEL_REGISTRY` records, per exact scalar model class, how it
+runs batched — its particle-filter builder (:func:`vectorize_model`), a
+closed-form SDS engine, and whether it runs on the generic DS graph —
+which is all ``infer(..., backend="vectorized"/"auto")`` reads to pick
+an engine. The registry starts empty and is populated by the layers
+that own the scalar models (the benchmark package registers its models
+when imported), so this core package never depends on them.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Optional, Set, Tuple, Type
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -38,17 +40,11 @@ __all__ = [
     "VectorizedCoin",
     "VectorizedOutlier",
     "GraphOutlierModel",
-    "VECTORIZED_MODELS",
-    "CONJUGATE_GAUSSIAN_CHAINS",
-    "SDS_ENGINES",
-    "BDS_ENGINES",
-    "DS_GRAPH_ADAPTERS",
+    "ModelEntry",
+    "MODEL_REGISTRY",
     "register_vectorizer",
-    "register_conjugate_gaussian_chain",
     "register_sds_engine",
-    "register_bds_engine",
     "register_ds_graph_model",
-    "register_gaussian_chain_model",
     "vectorize_model",
     "kalman_vectorizer",
     "coin_vectorizer",
@@ -268,35 +264,39 @@ def outlier_vectorizer(model: Any) -> VectorizedOutlier:
     )
 
 
-#: exact scalar model type -> builder of the equivalent VectorizedModel.
-#: Populated by the packages that own the scalar models (repro.bench
-#: registers KalmanModel/HmmModel/CoinModel/OutlierModel on import).
-VECTORIZED_MODELS: Dict[Type[ProbNode], Callable[[ProbNode], VectorizedModel]] = {}
+def _unadapted(model: ProbNode) -> ProbNode:
+    return model
 
-#: exact scalar model types whose SDS semantics is the closed-form
-#: conjugate Gaussian chain of ``VectorizedKalmanSDS``.
-CONJUGATE_GAUSSIAN_CHAINS: Set[Type[ProbNode]] = set()
 
-#: exact scalar model type -> factory of the vectorized engine that
-#: reproduces its streaming-delayed-sampling semantics in closed form
-#: (``factory(model, **engine_kwargs)``). Populated by the packages that
-#: own the scalar models, like ``VECTORIZED_MODELS``.
-SDS_ENGINES: Dict[Type[ProbNode], Callable[..., Any]] = {}
+@dataclass(frozen=True)
+class ModelEntry:
+    """How one exact scalar model class runs batched.
 
-#: exact scalar model type -> factory of the vectorized engine that
-#: reproduces its *bounded* delayed-sampling semantics (fresh graph per
-#: step, forced realization at the end of each instant). Populated like
-#: ``SDS_ENGINES``; ``register_gaussian_chain_model`` fills both from
-#: one call for models inside the linear-Gaussian chain fragment.
-BDS_ENGINES: Dict[Type[ProbNode], Callable[..., Any]] = {}
+    ``pf`` builds the equivalent :class:`VectorizedModel` (the batched
+    particle filter's model); ``sds`` is a closed-form streaming
+    delayed-sampling engine factory, ``factory(model, **engine_kwargs)``;
+    ``graph`` is set when the class runs on the generic batched DS graph
+    and is the lockstep adapter applied to the model first (identity
+    when the model needs none). Any field may be unset.
+    """
 
-#: exact scalar model type -> the lockstep adapter its DS-graph
-#: registration carries (``register_ds_graph_model(..., adapter=...)``).
-#: The static analysis consults this so routing verdicts are computed on
-#: the model the batched engine actually runs (e.g. the Outlier model's
-#: per-particle branch is judged through :class:`GraphOutlierModel`'s
-#: masked-affine rewrite, not the raw scalar code).
-DS_GRAPH_ADAPTERS: Dict[Type[ProbNode], Callable[[ProbNode], ProbNode]] = {}
+    pf: Optional[Callable[[ProbNode], VectorizedModel]] = None
+    sds: Optional[Callable[..., Any]] = None
+    graph: Optional[Callable[[ProbNode], ProbNode]] = None
+
+
+#: exact scalar model type -> how it runs batched. Exact classes only:
+#: a subclass may override ``step`` with structure its parent's batched
+#: equivalent would miss. Starts empty and is populated by the packages
+#: that own the scalar models (repro.bench registers its models on
+#: import), so this core package never depends on them.
+MODEL_REGISTRY: Dict[Type[ProbNode], ModelEntry] = {}
+
+
+def _register(model_cls: Type[ProbNode], **fields: Any) -> None:
+    MODEL_REGISTRY[model_cls] = replace(
+        MODEL_REGISTRY.get(model_cls, ModelEntry()), **fields
+    )
 
 
 def register_vectorizer(
@@ -304,12 +304,7 @@ def register_vectorizer(
     builder: Callable[[ProbNode], VectorizedModel],
 ) -> None:
     """Register a vectorized equivalent for a scalar model class."""
-    VECTORIZED_MODELS[model_cls] = builder
-
-
-def register_conjugate_gaussian_chain(model_cls: Type[ProbNode]) -> None:
-    """Mark a scalar model class as an exact conjugate Gaussian chain."""
-    CONJUGATE_GAUSSIAN_CHAINS.add(model_cls)
+    _register(model_cls, pf=builder)
 
 
 def register_sds_engine(
@@ -319,17 +314,11 @@ def register_sds_engine(
 
     ``factory(model, **engine_kwargs)`` must build a
     :class:`~repro.vectorized.engine.VectorizedEngine` reproducing the
-    model's delayed-sampling semantics. Exact classes only — subclasses
-    may override ``step`` with structure the closed form would miss.
+    model's delayed-sampling semantics. It takes precedence over the
+    DS graph for ``sds``. Exact classes only — subclasses may override
+    ``step`` with structure the closed form would miss.
     """
-    SDS_ENGINES[model_cls] = factory
-
-
-def register_bds_engine(
-    model_cls: Type[ProbNode], factory: Callable[..., Any]
-) -> None:
-    """Register a vectorized BDS engine for a model class (exact classes)."""
-    BDS_ENGINES[model_cls] = factory
+    _register(model_cls, sds=factory)
 
 
 def register_ds_graph_model(
@@ -339,15 +328,15 @@ def register_ds_graph_model(
 ) -> None:
     """Route a model to the generic array-native DS graph engine.
 
-    Registers :class:`~repro.vectorized.engine.VectorizedGaussianChainSDS`
-    factories for the model class: always for ``bds`` (the graph engine
-    is the only batched BDS), and for ``sds`` only when no closed-form
-    engine already claims the class (``SDS_ENGINES`` /
-    ``CONJUGATE_GAUSSIAN_CHAINS`` win — e.g. the Kalman/HMM chains keep
-    their dedicated mean/variance recursions). ``adapter``, when given,
-    wraps the scalar model in a lockstep-friendly equivalent before the
-    engine runs it (e.g. :class:`GraphOutlierModel`, which rewrites the
-    Outlier model's per-particle branch as a masked affine observation).
+    The class then runs on
+    :class:`~repro.vectorized.engine.VectorizedGaussianChainSDS` for
+    ``bds``, and for ``sds`` unless a closed-form engine is registered
+    (e.g. the Kalman/HMM chains keep their dedicated mean/variance
+    recursions). ``adapter``, when given, wraps the scalar model in a
+    lockstep-friendly equivalent before the engine runs it (e.g.
+    :class:`GraphOutlierModel`, which rewrites the Outlier model's
+    per-particle branch as a masked affine observation); routing judges
+    the adapted model too.
 
     With ``verify=True`` (the default) the static analysis
     (:func:`repro.analysis.analysis_for`) is consulted on a
@@ -356,45 +345,12 @@ def register_ds_graph_model(
     happens (the runtime's mid-stream scalar fallback keeps a
     mis-registered model correct, and tests register such models on
     purpose), but the warning points at the exact lockstep/family
-    violation the batched engine will trip over. Registration is
-    atomic: either every registry entry lands or none does.
+    violation the batched engine will trip over.
     """
-    # Imported lazily: the engine module imports this registry module.
-    from repro.vectorized.engine import VectorizedGaussianChainSDS
-
-    def wrap(model: ProbNode) -> ProbNode:
-        return model if adapter is None else adapter(model)
-
-    def bds_factory(model: ProbNode, **kwargs: Any) -> Any:
-        return VectorizedGaussianChainSDS(wrap(model), mode="bds", **kwargs)
-
-    def sds_factory(model: ProbNode, **kwargs: Any) -> Any:
-        return VectorizedGaussianChainSDS(wrap(model), mode="sds", **kwargs)
-
+    graph = _unadapted if adapter is None else adapter
     if verify:
-        _warn_if_unbatchable(model_cls, wrap)
-
-    # Atomic: snapshot the registries this function touches, roll back
-    # on any failure so a half-registered model never escapes.
-    saved = [
-        (reg, model_cls in reg, reg.get(model_cls))
-        for reg in (BDS_ENGINES, SDS_ENGINES, DS_GRAPH_ADAPTERS)
-    ]
-    try:
-        register_bds_engine(model_cls, bds_factory)
-        if model_cls not in SDS_ENGINES and model_cls not in CONJUGATE_GAUSSIAN_CHAINS:
-            register_sds_engine(model_cls, sds_factory)
-        if adapter is not None:
-            DS_GRAPH_ADAPTERS[model_cls] = adapter
-        else:
-            DS_GRAPH_ADAPTERS.pop(model_cls, None)
-    except Exception:
-        for reg, had, old in saved:
-            if had:
-                reg[model_cls] = old
-            else:
-                reg.pop(model_cls, None)
-        raise
+        _warn_if_unbatchable(model_cls, graph)
+    _register(model_cls, graph=graph)
 
 
 def _warn_if_unbatchable(
@@ -404,7 +360,7 @@ def _warn_if_unbatchable(
 
     Best-effort: a model class whose constructor needs arguments, or
     one the analysis cannot see through, is registered silently — the
-    empirical probe and the runtime fallback still cover it.
+    runtime's mid-stream scalar fallback still covers it.
     """
     import warnings
 
@@ -431,22 +387,18 @@ def _warn_if_unbatchable(
         )
 
 
-#: back-compat alias: the PR-4 name of the registration hook, when the
-#: graph engine only covered linear-Gaussian chains.
-register_gaussian_chain_model = register_ds_graph_model
-
-
 def vectorize_model(model: Any) -> Optional[VectorizedModel]:
     """The batched equivalent of ``model``, or None if not vectorizable.
 
     A model is vectorizable when it already *is* a
     :class:`VectorizedModel` or when its exact class is registered in
-    ``VECTORIZED_MODELS`` (subclasses may override ``step`` arbitrarily,
-    so they do not inherit their parent's vectorization).
+    ``MODEL_REGISTRY`` with a ``pf`` builder (subclasses may override
+    ``step`` arbitrarily, so they do not inherit their parent's
+    vectorization).
     """
     if isinstance(model, VectorizedModel):
         return model
-    builder = VECTORIZED_MODELS.get(type(model))
-    if builder is None:
+    entry = MODEL_REGISTRY.get(type(model))
+    if entry is None or entry.pf is None:
         return None
-    return builder(model)
+    return entry.pf(model)

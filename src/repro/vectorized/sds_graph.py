@@ -78,7 +78,7 @@ structure the graph cannot express at all (a family without kernels —
 Uniform, InverseGamma, … — a parameter of the wrong shape, branching
 Python control flow on a per-particle value array) raises
 :class:`ChainStructureError`. ``infer`` never routes such models here
-when the detector / registries are used, and the graph engine
+when the static analysis rejects them, and the graph engine
 (:class:`~repro.vectorized.engine.VectorizedGaussianChainSDS`) catches
 the error mid-stream as the last resort, migrates the population to
 the scalar delayed samplers with a one-time :class:`RuntimeWarning`,
@@ -154,7 +154,6 @@ __all__ = [
     "register_slot_family",
     "BatchedNode",
     "BatchedDSGraph",
-    "BatchedGaussianChainGraph",
     "BatchedDelayedCtx",
     "ScalarAffineEdge",
     "ProjectionEdge",
@@ -190,7 +189,7 @@ class ChainStructureError(GraphError):
     raised only for structure the graph cannot express at all — a family
     without SoA kernels, a parameter of the wrong shape, an operator
     with no batched evaluation rule. ``infer`` never routes such models
-    here when the structure detector / registries are used, and the
+    here when the static analysis rejects them, and the
     graph engine falls back to the scalar delayed samplers mid-stream
     (state migrated, one-time ``RuntimeWarning``) when a model leaves
     the fragment after it started.
@@ -203,20 +202,6 @@ class ChainStructureError(GraphError):
     def __init__(self, message: str, reason: str = "structure"):
         super().__init__(message)
         self.reason = reason
-
-
-def __getattr__(name: str):
-    if name == "ChainFragmentError":
-        # The PR-4-era alias, kept importable one release as a shim.
-        import warnings
-
-        warnings.warn(
-            "ChainFragmentError is deprecated; use ChainStructureError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ChainStructureError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -1206,11 +1191,6 @@ class BatchedDSGraph:
             f"{type(self).__name__}(n={self.n}, "
             f"live_slots={len(self.live_slots())})"
         )
-
-
-#: back-compat alias: the PR-4 name of the graph, when it only covered
-#: linear-Gaussian chains.
-BatchedGaussianChainGraph = BatchedDSGraph
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,8 @@ from repro.obs import metrics_snapshot
 from repro.runtime.node import ProbCtx, ProbNode
 from repro.vectorized import VectorizedGaussianChainSDS
 from repro.vectorized.models import (
-    BDS_ENGINES,
-    DS_GRAPH_ADAPTERS,
-    SDS_ENGINES,
+    MODEL_REGISTRY,
+    GraphOutlierModel,
     register_ds_graph_model,
 )
 
@@ -41,6 +40,29 @@ def _lockstep_model_cls():
     return module.LockstepBranchModel
 
 
+class FreshChainModel(ProbNode):
+    """Conclusively batchable and bounded, never registered."""
+
+    def init(self):
+        return None
+
+    def step(self, state, yobs, ctx: ProbCtx):
+        if state is None:
+            xt = ctx.sample(gaussian(0.0, 100.0))
+        else:
+            xt = ctx.sample(gaussian(0.8 * state, 1.0))
+        ctx.observe(gaussian(xt, 1.0), yobs)
+        return xt, xt
+
+
+def _selections():
+    return {
+        k: v
+        for k, v in metrics_snapshot()["counters"].items()
+        if k.startswith("repro_engine_selected_total")
+    }
+
+
 class TestConsultForBackend:
     def test_chain_model_approved(self):
         analysis, decision = consult_for_backend(KalmanModel(), "sds")
@@ -51,9 +73,16 @@ class TestConsultForBackend:
         """The raw Outlier model is conclusively unbatchable, but its
         registration carries the GraphOutlierModel rewrite — routing
         must judge what the engine actually runs."""
-        analysis, decision = consult_for_backend(OutlierModel(), "bds")
+        _, raw = consult_for_backend(OutlierModel(), "bds")
+        assert raw is False
+        analysis, decision = consult_for_backend(
+            GraphOutlierModel(OutlierModel()), "bds"
+        )
         assert decision is True
         assert analysis.batchable
+        engine = infer(OutlierModel(), n_particles=4, method="bds", backend="auto")
+        assert isinstance(engine, VectorizedGaussianChainSDS)
+        assert isinstance(engine.model, GraphOutlierModel)
 
     def test_unbounded_model_gets_no_volunteer(self):
         analysis, decision = consult_for_backend(WalkModel(), "sds")
@@ -91,21 +120,8 @@ class TestAutoBackend:
 
     def test_batchable_unregistered_model_gets_graph_engine(self):
         """Conclusively batchable + bounded but never registered: auto
-        constructs the generic graph engine instead of probing."""
-
-        class FreshChainModel(ProbNode):
-            def init(self):
-                return None
-
-            def step(self, state, yobs, ctx: ProbCtx):
-                if state is None:
-                    xt = ctx.sample(gaussian(0.0, 100.0))
-                else:
-                    xt = ctx.sample(gaussian(0.8 * state, 1.0))
-                ctx.observe(gaussian(xt, 1.0), yobs)
-                return xt, xt
-
-        assert FreshChainModel not in SDS_ENGINES
+        constructs the generic graph engine."""
+        assert FreshChainModel not in MODEL_REGISTRY
         engine = infer(
             FreshChainModel(), n_particles=4, method="sds", backend="auto", seed=0
         )
@@ -132,6 +148,48 @@ class TestAutoBackend:
         assert isinstance(engine, StreamingDelayedSampler)
 
 
+class TestEngineSelection:
+    """One ``repro_engine_selected_total{engine,reason}`` per infer()."""
+
+    @pytest.mark.parametrize(
+        "make_model,method,backend,engine,reason",
+        [
+            (KalmanModel, "pf", "vectorized", "VectorizedParticleFilter", "registry"),
+            (KalmanModel, "sds", "auto", "VectorizedKalmanSDS", "registry"),
+            (FreshChainModel, "bds", "auto", "VectorizedGaussianChainSDS", "analysis"),
+            (_lockstep_model_cls(), "sds", "auto", "StreamingDelayedSampler", "unbatchable"),
+            (WalkModel, "pf", "auto", "ParticleFilter", "unregistered"),
+            (KalmanModel, "ds", "vectorized", "OriginalDelayedSampler", "unregistered"),
+        ],
+    )
+    def test_one_labelled_count_per_infer(self, make_model, method, backend, engine, reason):
+        before = _selections()
+        built = infer(make_model(), n_particles=4, method=method, backend=backend)
+        after = _selections()
+        assert type(built).__name__ == engine
+        key = f'repro_engine_selected_total{{engine="{engine}",reason="{reason}"}}'
+        assert after[key] == before.get(key, 0) + 1
+        assert sum(after.values()) == sum(before.values()) + 1
+
+    def test_scalar_backend_selects_nothing(self):
+        before = _selections()
+        infer(KalmanModel(), n_particles=4, method="pf", backend="scalar")
+        assert _selections() == before
+
+    def test_graph_construction_error_raises(self, monkeypatch):
+        """A batchable but unregistered model whose graph engine cannot
+        be built surfaces the error instead of silently running on the
+        scalar engine."""
+        import repro.vectorized.engine as vengine
+
+        def broken_init(self, model, mode="sds", **kwargs):
+            raise RuntimeError("graph engine construction failed")
+
+        monkeypatch.setattr(vengine.VectorizedGaussianChainSDS, "__init__", broken_init)
+        with pytest.raises(RuntimeError, match="construction failed"):
+            infer(FreshChainModel(), n_particles=4, method="sds", backend="auto")
+
+
 class TestAnalysisCache:
     def test_same_configuration_shares_analysis(self):
         clear_analysis_cache()
@@ -152,11 +210,9 @@ class TestRegistrationVerification:
         try:
             with pytest.warns(RuntimeWarning, match="conclusively unbatchable"):
                 register_ds_graph_model(cls)
-            assert cls in BDS_ENGINES and cls in SDS_ENGINES
+            assert MODEL_REGISTRY[cls].graph is not None
         finally:
-            BDS_ENGINES.pop(cls, None)
-            SDS_ENGINES.pop(cls, None)
-            DS_GRAPH_ADAPTERS.pop(cls, None)
+            MODEL_REGISTRY.pop(cls, None)
 
     def test_clean_registration_does_not_warn(self, recwarn):
         class CleanChain(ProbNode):
@@ -172,12 +228,10 @@ class TestRegistrationVerification:
             register_ds_graph_model(CleanChain)
             assert not [w for w in recwarn if w.category is RuntimeWarning]
         finally:
-            BDS_ENGINES.pop(CleanChain, None)
-            SDS_ENGINES.pop(CleanChain, None)
-            DS_GRAPH_ADAPTERS.pop(CleanChain, None)
+            MODEL_REGISTRY.pop(CleanChain, None)
 
     def test_registration_is_atomic(self, monkeypatch):
-        """A failure mid-registration rolls every registry back."""
+        """A failure during registration leaves no registry entry."""
         import repro.vectorized.models as models_mod
 
         class DoomedModel(ProbNode):
@@ -189,18 +243,16 @@ class TestRegistrationVerification:
                 ctx.observe(gaussian(xt, 1.0), yobs)
                 return xt, xt
 
-        def boom(model_cls, factory):
-            raise RuntimeError("registry exploded")
+        def boom(model_cls, wrap):
+            raise RuntimeError("verification exploded")
 
-        monkeypatch.setattr(models_mod, "register_sds_engine", boom)
-        with pytest.raises(RuntimeError, match="registry exploded"):
-            register_ds_graph_model(DoomedModel, verify=False)
-        assert DoomedModel not in BDS_ENGINES
-        assert DoomedModel not in SDS_ENGINES
-        assert DoomedModel not in DS_GRAPH_ADAPTERS
+        monkeypatch.setattr(models_mod, "_warn_if_unbatchable", boom)
+        with pytest.raises(RuntimeError, match="verification exploded"):
+            register_ds_graph_model(DoomedModel)
+        assert DoomedModel not in MODEL_REGISTRY
 
     def test_adapter_recorded_for_routing(self):
-        assert OutlierModel in DS_GRAPH_ADAPTERS
+        assert MODEL_REGISTRY[OutlierModel].graph is GraphOutlierModel
 
 
 class TestProbeFailureAtomicity:
@@ -252,7 +304,7 @@ class TestProbeFailureAtomicity:
         assert "AttributeError" in reason
 
     def test_scalar_probe_never_raises(self):
-        from repro.delayed.detect import probe_gaussian_chain
+        from repro.delayed.detect import probe_ds_structure
 
         class InitRaises(ProbNode):
             def init(self):
@@ -261,6 +313,6 @@ class TestProbeFailureAtomicity:
             def step(self, state, yobs, ctx: ProbCtx):
                 return 0.0, None
 
-        report = probe_gaussian_chain(InitRaises(), [0.1])
-        assert not report.is_chain
+        report = probe_ds_structure(InitRaises(), [0.1])
+        assert not report.is_batchable
         assert "stage=init" in report.reason

@@ -1,4 +1,4 @@
-"""The Gaussian-chain and generic DS structure detectors."""
+"""The DS structure detector, including its linear-Gaussian chain view."""
 
 import pytest
 
@@ -14,23 +14,22 @@ from repro.delayed.detect import (
     BATCHABLE_FAMILIES,
     GAUSSIAN_FAMILIES,
     probe_ds_structure,
-    probe_gaussian_chain,
 )
 
 
 class TestChainModels:
     def test_kalman_is_a_chain(self):
-        report = probe_gaussian_chain(KalmanModel(), [0.5, -0.2, 1.1])
+        report = probe_ds_structure(KalmanModel(), [0.5, -0.2, 1.1])
         assert report.is_chain
         assert report.families == frozenset({"gaussian"})
         assert report.forced == 0
         assert report.steps == 3
 
     def test_hmm_is_a_chain(self):
-        assert probe_gaussian_chain(HmmModel(), [0.1, 0.2]).is_chain
+        assert probe_ds_structure(HmmModel(), [0.1, 0.2]).is_chain
 
     def test_robot_is_a_chain_with_and_without_gps(self):
-        report = probe_gaussian_chain(
+        report = probe_ds_structure(
             RobotModel(), [(0.0, 0.0, 0.0), (0.1, None, 0.0)]
         )
         assert report.is_chain
@@ -39,13 +38,13 @@ class TestChainModels:
 
 class TestNonChainModels:
     def test_coin_rejected_by_family(self):
-        report = probe_gaussian_chain(CoinModel(), [True, False])
+        report = probe_ds_structure(CoinModel(), [True, False])
         assert not report.is_chain
-        assert "beta" in report.reason or "bernoulli" in report.reason
+        assert {"beta", "bernoulli"} & report.families
 
     def test_outlier_rejected(self):
         """Beta/Bernoulli families *and* a forced indicator realization."""
-        report = probe_gaussian_chain(OutlierModel(), [0.5, 0.7])
+        report = probe_ds_structure(OutlierModel(), [0.5, 0.7])
         assert not report.is_chain
         assert not report.families <= GAUSSIAN_FAMILIES
         assert report.forced > 0
@@ -57,11 +56,11 @@ class TestNonChainModels:
         a separate, explicit step — but the detector's verdict is about
         structure, and the walk's structure is a chain.)
         """
-        report = probe_gaussian_chain(WalkModel(), [None, None])
+        report = probe_ds_structure(WalkModel(), [None, None])
         assert report.is_chain
 
     def test_empty_probe_rejected(self):
-        report = probe_gaussian_chain(KalmanModel(), [])
+        report = probe_ds_structure(KalmanModel(), [])
         assert not report.is_chain
         assert "no probe inputs" in report.reason
 
@@ -72,7 +71,7 @@ class TestDSStructureProbe:
     def test_kalman_is_batchable_chain(self):
         report = probe_ds_structure(KalmanModel(), [0.5, -0.2, 1.1])
         assert report.is_batchable
-        assert report.is_chain  # PR-4 compatibility view
+        assert report.is_chain  # linear-Gaussian chain view
         assert report.shape == "chain"
         assert report.families == frozenset({"gaussian"})
 
@@ -155,24 +154,24 @@ class TestRobustness:
             def step(self, state, yobs, ctx):
                 raise ValueError("boom")
 
-        report = probe_gaussian_chain(Broken(), [0.5])
-        assert not report.is_chain
+        report = probe_ds_structure(Broken(), [0.5])
+        assert not report.is_batchable
         assert "ValueError" in report.reason
 
     def test_registration_wiring(self):
-        """The bench layer registered its chains with the backend."""
-        from repro.vectorized.models import BDS_ENGINES, SDS_ENGINES
+        """The bench layer registered its models with the backend."""
+        from repro.vectorized.engine import (
+            VectorizedBetaBernoulliSDS,
+            VectorizedKalmanSDS,
+        )
+        from repro.vectorized.models import MODEL_REGISTRY
 
-        assert KalmanModel in BDS_ENGINES
-        assert HmmModel in BDS_ENGINES
-        assert RobotModel in BDS_ENGINES
-        assert RobotModel in SDS_ENGINES  # graph engine claims robot sds
-        assert KalmanModel not in SDS_ENGINES  # closed form keeps Kalman sds
-        # PR 5: the generic graph claims the Outlier model entirely and
-        # Coin's bounded delayed sampling; Coin sds keeps its closed form.
-        assert OutlierModel in BDS_ENGINES
-        assert OutlierModel in SDS_ENGINES
-        assert CoinModel in BDS_ENGINES
-        from repro.vectorized.engine import VectorizedBetaBernoulliSDS
-
-        assert SDS_ENGINES[CoinModel] is VectorizedBetaBernoulliSDS
+        for cls in (KalmanModel, HmmModel, RobotModel, OutlierModel, CoinModel):
+            assert MODEL_REGISTRY[cls].graph is not None
+        # The graph engine claims robot and Outlier sds; the closed forms
+        # keep Kalman/HMM and Coin sds.
+        assert MODEL_REGISTRY[RobotModel].sds is None
+        assert MODEL_REGISTRY[OutlierModel].sds is None
+        assert MODEL_REGISTRY[KalmanModel].sds is VectorizedKalmanSDS
+        assert MODEL_REGISTRY[HmmModel].sds is VectorizedKalmanSDS
+        assert MODEL_REGISTRY[CoinModel].sds is VectorizedBetaBernoulliSDS

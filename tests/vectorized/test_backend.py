@@ -27,7 +27,7 @@ from repro.vectorized import (
     register_vectorizer,
     vectorize_model,
 )
-from repro.vectorized.models import VECTORIZED_MODELS
+from repro.vectorized.models import MODEL_REGISTRY
 
 
 class TestBackendSelection:
@@ -56,8 +56,7 @@ class TestBackendSelection:
             infer(CoinModel(), method="sds", backend="vectorized"),
             VectorizedBetaBernoulliSDS,
         )
-        # The Outlier model rides the generic batched DS graph since
-        # PR 5 (VectorizedOutlierSDS survives only as a test oracle).
+        # The Outlier model rides the generic batched DS graph.
         outlier_engine = infer(OutlierModel(), method="sds", backend="vectorized")
         assert isinstance(outlier_engine, VectorizedGaussianChainSDS)
         # no closed-form SDS engine registered: scalar fallback
@@ -146,7 +145,7 @@ class TestVectorizeModel:
             dist, _ = engine.step(engine.init(), None)
             assert np.isfinite(dist.mean())
         finally:
-            VECTORIZED_MODELS.pop(MyModel, None)
+            MODEL_REGISTRY.pop(MyModel, None)
 
     def test_vectorized_pf_rejects_unknown_model_directly(self):
         with pytest.raises(InferenceError):

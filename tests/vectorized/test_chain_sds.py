@@ -1,4 +1,4 @@
-"""The array-native delayed-sampling runtime (BatchedGaussianChainGraph).
+"""The array-native delayed-sampling runtime (BatchedDSGraph).
 
 Three layers of checks:
 
@@ -30,7 +30,7 @@ from repro.lang import bernoulli, beta, gaussian
 from repro.runtime.node import ProbCtx, ProbNode
 from repro.vectorized import (
     BatchedDelayedCtx,
-    BatchedGaussianChainGraph,
+    BatchedDSGraph,
     ChainStructureError,
     GaussianMixtureArray,
     MvGaussianMixtureArray,
@@ -65,7 +65,7 @@ def run_stream(model, data, method, backend, n=10, seed=0, **kwargs):
 # ----------------------------------------------------------------------
 class TestBatchedGraph:
     def test_root_broadcasts_shared_marginal(self):
-        graph = BatchedGaussianChainGraph(4)
+        graph = BatchedDSGraph(4)
         node = graph.assume_root_dist(Gaussian(2.0, 3.0))
         mean, var = graph.posterior_marginal(node.slot)
         assert mean.tolist() == [2.0] * 4
@@ -73,7 +73,7 @@ class TestBatchedGraph:
         assert graph.node_state[node.slot] == MARGINALIZED
 
     def test_observe_conditions_all_particles(self):
-        graph = BatchedGaussianChainGraph(3)
+        graph = BatchedDSGraph(3)
         parent = graph.assume_root_dist(Gaussian(0.0, 1.0))
         child = graph.assume_conditional(
             ScalarAffineEdge(1.0, 0.0, 1.0), parent
@@ -87,7 +87,7 @@ class TestBatchedGraph:
         assert var == pytest.approx(exact.var)
 
     def test_observe_weight_matches_predictive_density(self):
-        graph = BatchedGaussianChainGraph(2)
+        graph = BatchedDSGraph(2)
         parent = graph.assume_root_dist(Gaussian(0.0, 1.0))
         child = graph.assume_conditional(
             ScalarAffineEdge(1.0, 0.0, 0.5), parent
@@ -96,7 +96,7 @@ class TestBatchedGraph:
         assert logw == pytest.approx([Gaussian(0.0, 1.5).log_pdf(0.7)] * 2)
 
     def test_value_samples_posterior_batched(self):
-        graph = BatchedGaussianChainGraph(1000)
+        graph = BatchedDSGraph(1000)
         graph.rng = np.random.default_rng(0)
         node = graph.assume_root_dist(Gaussian(5.0, 0.01))
         drawn = graph.value(node)
@@ -107,7 +107,7 @@ class TestBatchedGraph:
         assert np.array_equal(graph.value(node), drawn)
 
     def test_sweep_frees_unreachable_slots(self):
-        graph = BatchedGaussianChainGraph(2)
+        graph = BatchedDSGraph(2)
         old = graph.assume_root_dist(Gaussian(0.0, 1.0))
         new = graph.assume_conditional(ScalarAffineEdge(1.0, 0.0, 1.0), old)
         graph.graft(new.slot)
@@ -118,7 +118,7 @@ class TestBatchedGraph:
         assert graph.node_state[new.slot] == MARGINALIZED
 
     def test_freed_slots_are_recycled(self):
-        graph = BatchedGaussianChainGraph(2)
+        graph = BatchedDSGraph(2)
         node = graph.assume_root_dist(Gaussian(0.0, 1.0))
         slot = node.slot
         graph.sweep([])
@@ -126,7 +126,7 @@ class TestBatchedGraph:
         assert again.slot == slot  # free list reuses the slot
 
     def test_realize_with_marginal_child_rejected(self):
-        graph = BatchedGaussianChainGraph(2)
+        graph = BatchedDSGraph(2)
         parent = graph.assume_root_dist(Gaussian(0.0, 1.0))
         child = graph.assume_conditional(ScalarAffineEdge(1.0, 0.0, 1.0), parent)
         graph.graft(child.slot)  # parent now has a live marginal child
@@ -134,7 +134,7 @@ class TestBatchedGraph:
             graph.realize(parent.slot, np.zeros(2))
 
     def test_mv_chain_shared_covariance(self):
-        graph = BatchedGaussianChainGraph(5)
+        graph = BatchedDSGraph(5)
         node = graph.assume_root_dist(MvGaussian([0.0, 1.0], np.eye(2)))
         mean, cov = graph.posterior_marginal(node.slot)
         assert mean.shape == (5, 2)
@@ -148,7 +148,7 @@ class TestStructureRejection:
         slots), and the error carries a bounded ``reason`` tag."""
         from repro.lang import gamma, inverse_gamma
 
-        graph = BatchedGaussianChainGraph(2)
+        graph = BatchedDSGraph(2)
         ctx = BatchedDelayedCtx(graph)
         with pytest.raises(ChainStructureError) as excinfo:
             ctx.sample(inverse_gamma(2.0, 1.0))
@@ -161,7 +161,7 @@ class TestStructureRejection:
         """Bernoulli is conjugate to Beta parents only: a Gaussian
         success probability realizes the parent and continues as a
         batched root instead of leaving the graph."""
-        graph = BatchedGaussianChainGraph(2)
+        graph = BatchedDSGraph(2)
         graph.rng = np.random.default_rng(0)
         ctx = BatchedDelayedCtx(graph)
         x = ctx.sample(gaussian(0.5, 0.01))
@@ -174,7 +174,7 @@ class TestStructureRejection:
     def test_nonaffine_mean_realizes_and_continues(self):
         """A quadratic mean breaks the dependency by realizing the
         parent (the scalar layer's dependency-breaking rule, batched)."""
-        graph = BatchedGaussianChainGraph(2)
+        graph = BatchedDSGraph(2)
         graph.rng = np.random.default_rng(0)
         ctx = BatchedDelayedCtx(graph)
         x = ctx.sample(gaussian(0.0, 1.0))
@@ -347,13 +347,13 @@ class ScaledChainModel(ProbNode):
 
 class TestCustomChain:
     def test_detected_and_equivalent(self):
-        from repro.delayed.detect import probe_gaussian_chain
-        from repro.vectorized import register_gaussian_chain_model
-        from repro.vectorized.models import BDS_ENGINES, SDS_ENGINES
+        from repro.delayed.detect import probe_ds_structure
+        from repro.vectorized import register_ds_graph_model
+        from repro.vectorized.models import MODEL_REGISTRY
 
-        report = probe_gaussian_chain(ScaledChainModel(), [0.1, 0.2])
+        report = probe_ds_structure(ScaledChainModel(), [0.1, 0.2])
         assert report.is_chain
-        register_gaussian_chain_model(ScaledChainModel)
+        register_ds_graph_model(ScaledChainModel)
         try:
             data = [0.3, -0.1, 0.8, 0.2, 0.5]
 
@@ -373,8 +373,7 @@ class TestCustomChain:
                 assert vm == pytest.approx(sm, rel=1e-10)
                 assert vv == pytest.approx(sv, rel=1e-10)
         finally:
-            BDS_ENGINES.pop(ScaledChainModel, None)
-            SDS_ENGINES.pop(ScaledChainModel, None)
+            MODEL_REGISTRY.pop(ScaledChainModel, None)
 
     def test_sds_fallback_for_unregistered(self):
         engine = infer(

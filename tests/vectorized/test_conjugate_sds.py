@@ -1,9 +1,10 @@
 """Closed-form vectorized SDS beyond the Gaussian chain.
 
-The Beta-Bernoulli kernels and the two engines built on them:
+The Beta-Bernoulli kernels and the engines built on them:
 ``VectorizedBetaBernoulliSDS`` (Coin) must reproduce the scalar SDS
-posterior exactly — the conjugate update is deterministic — and
-``VectorizedOutlierSDS`` must agree with the scalar SDS engine in law.
+posterior exactly — the conjugate update is deterministic — and the
+Outlier model's batched SDS (the generic DS graph) must agree with the
+scalar SDS engine in law.
 """
 
 import math

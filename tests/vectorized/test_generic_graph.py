@@ -5,8 +5,9 @@ Four layers of checks:
 * graph-level unit tests of the new family dispatch — Beta-Bernoulli
   slots, per-particle affine coefficients / variances, tree-shaped
   graphs (a Beta branch beside a Gaussian chain, sibling pruning);
-* the Outlier model on the generic graph — bit-identical to the retired
-  bespoke ``VectorizedOutlierSDS`` oracle at a fixed seed, and
+* the Outlier model on the generic graph — bit-identical to the
+  hand-written ``VectorizedOutlierSDS`` oracle (``outlier_sds_oracle.py``)
+  at a fixed seed, and
   posterior-equivalent to the scalar sds/bds engines in law;
 * executor bit-identity for a tree-shaped model: serial / threads /
   processes / processes-persistent must reproduce the same posterior
@@ -40,7 +41,6 @@ from repro.vectorized import (
     GraphOutlierModel,
     ScalarFallbackState,
     VectorizedGaussianChainSDS,
-    VectorizedOutlierSDS,
 )
 from repro.vectorized.sds_graph import (
     MARGINALIZED,
@@ -48,6 +48,8 @@ from repro.vectorized.sds_graph import (
     BetaBernoulliEdge,
     ScalarAffineEdge,
 )
+
+from outlier_sds_oracle import VectorizedOutlierSDS
 
 ODATA = outlier_data(25, seed=7)
 
