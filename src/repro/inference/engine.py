@@ -34,6 +34,7 @@ whose results are identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -84,6 +85,23 @@ __all__ = [
     "StreamingDelayedSampler",
     "OriginalDelayedSampler",
 ]
+
+
+def _log_normalizer(log_weights: np.ndarray) -> float:
+    """``log sum_i exp(log_weights_i)``, a NaN log-weight counting as ``-inf``.
+
+    All-zero log-weights — the population after every resample — give
+    ``log n`` without a pass over ``exp``.
+    """
+    if not log_weights.any():
+        return math.log(log_weights.size)
+    logw = log_weights[~np.isnan(log_weights)]
+    top = logw.max(initial=-np.inf)
+    if not np.isfinite(top):
+        return float(top)
+    logw -= top
+    np.exp(logw, out=logw)
+    return float(top + np.log(logw.sum()))
 
 
 class InferenceEngine(Node):
@@ -209,14 +227,13 @@ class InferenceEngine(Node):
         timer.mark("model_eval")
         outs = [out for result in results for out in result.outs]
         stepped = [p for result in results for p in result.payload]
-        step_logw = np.concatenate([r.step_log_weights for r in results])
-        prev_logw = np.concatenate([r.prev_log_weights for r in results])
-        log_weights = prev_logw + step_logw
-        weights = normalize_log_weights(log_weights)
-        self._record_stats(prev_logw, step_logw, weights)
+        log_weights, weights = self._weigh(
+            np.concatenate([r.prev_log_weights for r in results]),
+            np.concatenate([r.step_log_weights for r in results]),
+        )
         output = self._output_distribution(outs, weights)
         timer.mark("weight_merge")
-        if self.resample and self._should_resample(weights):
+        if self.resample and self._should_resample():
             stepped = self._resample(stepped, weights)
             timer.mark("resample")
         else:
@@ -387,13 +404,15 @@ class InferenceEngine(Node):
                     TELEMETRY.recorder.record_shipped(summary.spans)
         timer.mark("model_eval")
         outs = self._merge_shard_outs([s.outs for s in summaries])
-        step_logw = np.concatenate([s.step_log_weights for s in summaries])
-        prev_logw = np.concatenate([s.prev_log_weights for s in summaries])
-        weights = normalize_log_weights(prev_logw + step_logw)
-        self._record_stats(prev_logw, step_logw, weights)
+        # Only the weights outlive this statement: the log-weights stay
+        # with the workers, so none of the vectors is held at the barrier.
+        weights = self._weigh(
+            np.concatenate([s.prev_log_weights for s in summaries]),
+            np.concatenate([s.step_log_weights for s in summaries]),
+        )[1]
         output = self._output_distribution(outs, weights)
         timer.mark("weight_merge")
-        if self.resample and self._should_resample(weights):
+        if self.resample and self._should_resample():
             # Barrier: ancestor indices from the engine-level generator
             # in the coordinator — identical under every executor.
             indices = np.asarray(self.resampler(weights, self.n_particles, self.rng))
@@ -464,26 +483,32 @@ class InferenceEngine(Node):
             particle.log_weight = float(logw)
         return payload
 
-    def _record_stats(self, prev_log_weights, step_log_weights, weights) -> None:
-        """Update :attr:`last_stats` with this step's diagnostics.
+    def _weigh(
+        self, prev_log_weights: np.ndarray, step_log_weights: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The step's log-weights and normalized weights; updates :attr:`last_stats`.
 
-        The incremental evidence is the previous-weight-weighted mean of
-        the step likelihoods: ``log sum_i prev_w_i * exp(step_logw_i)``
-        (with uniform previous weights after a resample, this is the
-        classic ``log mean w``).
+        One normalization serves the output distribution, the ESS, the
+        resampler and the evidence. The incremental evidence
+        ``log sum_i prev_w_i * exp(step_logw_i)`` (with uniform previous
+        weights after a resample, the classic ``log mean w``) is the log
+        normalizer of ``prev + step`` minus that of ``prev``. It comes
+        from the NaN-zeroed weights, so one broken particle costs its
+        weight, not the run's evidence; it is ``-inf`` when no particle
+        keeps any weight.
         """
-        prev_w = normalize_log_weights(prev_log_weights)
-        step_logw = np.asarray(step_log_weights, dtype=float)
-        with np.errstate(divide="ignore"):
-            combined = np.log(prev_w) + step_logw
-        top = combined.max()
-        if np.isneginf(top) or np.isnan(top):
+        log_weights = prev_log_weights + step_log_weights
+        weights, log_z = normalize_log_weights(
+            log_weights, return_log_normalizer=True
+        )
+        if np.isneginf(log_z):
             evidence = float("-inf")
         else:
-            evidence = float(top + np.log(np.sum(np.exp(combined - top))))
+            evidence = log_z - _log_normalizer(prev_log_weights)
         self.last_stats = StepStats(evidence, ess(weights), int(weights.size))
         if self.diagnostics is not None:
             self.diagnostics.record(self.last_stats)
+        return log_weights, weights
 
     # ------------------------------------------------------------------
     # hooks
@@ -498,10 +523,11 @@ class InferenceEngine(Node):
         return Empirical(outs, weights)
 
     # ------------------------------------------------------------------
-    def _should_resample(self, weights) -> bool:
+    def _should_resample(self) -> bool:
+        """Resample this step? Reads the ESS :meth:`_weigh` computed."""
         if self.resample_threshold is None:
             return True
-        return ess(weights) < self.resample_threshold * self.n_particles
+        return self.last_stats.ess < self.resample_threshold * self.n_particles
 
     def _resample(self, particles: List[Particle], weights) -> List[Particle]:
         """Resample: selected particles are duplicated by cloning state.

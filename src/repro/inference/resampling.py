@@ -3,7 +3,14 @@
 The particle filter "periodically re-samples the set of particles"
 (Section 5.1); systematic resampling is the default, with multinomial,
 stratified, and residual variants for completeness. Log-weight
-normalization is shared by every engine.
+normalization is shared by every engine, which normalizes once per step
+and takes the step's evidence from the same pass (the log normalizer).
+
+Systematic resampling runs in linear time: instead of a binary search
+per pick it counts, for every cumulative weight, the picks at or below
+it, and turns the counts into ancestors with one ``bincount`` and one
+``cumsum``. The counts are exact, so its indices are those of the
+textbook ``searchsorted`` formulation, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ __all__ = [
 ]
 
 
-def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
+def normalize_log_weights(
+    log_weights: Sequence[float], *, return_log_normalizer: bool = False
+):
     """Normalized linear weights from log weights.
 
     A ``NaN`` log-weight (a broken kernel scored one particle) is
@@ -37,6 +46,11 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
     ``-inf``: every particle scored zero likelihood) fall back to
     uniform weights rather than dying, which is what a streaming filter
     must do to keep running.
+
+    With ``return_log_normalizer`` the result is ``(weights, log_z)``,
+    ``log_z = log sum_i exp(log_weights_i)`` over the same NaN-zeroed
+    weights (``-inf`` for the all-``-inf`` fallback), which is what the
+    engines take the step evidence from.
     """
     logw = np.asarray(log_weights, dtype=float)
     if logw.size == 0:
@@ -54,13 +68,18 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
         )
         logw = np.where(nan_mask, -np.inf, logw)
     top = logw.max()
-    if np.isneginf(top):
-        return np.full(logw.size, 1.0 / logw.size)
-    w = np.exp(logw - top)
-    total = w.sum()
-    if not total > 0:
-        return np.full(logw.size, 1.0 / logw.size)
-    return w / total
+    if np.isfinite(top):
+        # In place, so the result is the only N-sized allocation. The
+        # maximum contributes exp(0) = 1, so the total lies in [1, N].
+        w = logw - top
+        np.exp(w, out=w)
+        total = w.sum()
+        w /= total
+        log_z = float(top + np.log(total))
+    else:
+        w = np.full(logw.size, 1.0 / logw.size)
+        log_z = float(top)
+    return (w, log_z) if return_log_normalizer else w
 
 
 def _normalized_weights(weights: Sequence[float]) -> np.ndarray:
@@ -102,12 +121,38 @@ def ess(weights: Sequence[float]) -> float:
 def systematic_indices(
     weights: Sequence[float], n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Systematic resampling: one uniform offset, ``n`` evenly spaced picks."""
+    """Systematic resampling: one uniform offset, ``n`` evenly spaced picks.
+
+    Pick ``j`` sits at ``(u + j) / n`` and selects the first particle
+    whose cumulative weight reaches it. Rather than search for each
+    pick, count for every cumulative weight ``c_i`` the picks at or
+    below it, ``floor(c_i n - u) + 1`` in exact arithmetic. Pick ``j``
+    then selects the number of particles whose count is at most ``j``:
+    a ``bincount`` and a ``cumsum``, O(N) in all.
+
+    The counts are exact. Rounding moves ``c_i n - u`` by far less than
+    1/2 (about ``n * 1e-16``), so ``floor(c_i n - u + 1/2)`` is the true
+    count or one below it, and one comparison against the very
+    expression ``(u + j) / n`` a search would use settles which. The
+    indices are those of ``searchsorted(cumsum(w), (u + arange(n)) / n)``
+    bit for bit.
+    """
     w = _normalized_weights(weights)
-    positions = (rng.random() + np.arange(n)) / n
+    u = rng.random()
     cumulative = np.cumsum(w)
     cumulative[-1] = 1.0  # guard against round-off
-    return np.searchsorted(cumulative, positions).astype(int)
+    buf = cumulative * n
+    counts = np.empty(cumulative.size, dtype=np.intp)
+    # c n - u + 1/2 > -1/2, so truncation gives the floor (or 0, which
+    # is then the true count).
+    np.subtract(buf, u - 0.5, out=counts, casting="unsafe")
+    np.add(counts, u, out=buf)
+    buf /= n
+    counts += buf <= cumulative
+    del buf, cumulative
+    # Counts of n and above (every pick at or below c) fall in the bins
+    # cut off here; the last particle's is always one of them.
+    return np.cumsum(np.bincount(counts[:-1], minlength=n + 1)[:n])
 
 
 def stratified_indices(

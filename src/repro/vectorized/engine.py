@@ -57,7 +57,9 @@ from repro.exec.population import (
 )
 from repro.exec.shm import materialize
 from repro.inference.engine import InferenceEngine
-from repro.inference.resampling import normalize_log_weights
+# Not called here (the weight pipeline is InferenceEngine._weigh), but
+# perfbench/tracer.py wraps the name in every engine module.
+from repro.inference.resampling import normalize_log_weights  # noqa: F401
 from repro.obs.registry import count_event
 from repro.obs.spans import TELEMETRY
 from repro.runtime.node import ProbNode
@@ -156,16 +158,15 @@ class VectorizedEngine(InferenceEngine):
         results, population = self._map_population(population, inp)
         timer.mark("model_eval")
         outs = _merge([r.outs for r in results])
-        step_logw = np.concatenate([r.step_log_weights for r in results])
-        prev_logw = np.concatenate([r.prev_log_weights for r in results])
-        log_weights = prev_logw + step_logw
-        weights = normalize_log_weights(log_weights)
-        self._record_stats(prev_logw, step_logw, weights)
+        log_weights, weights = self._weigh(
+            np.concatenate([r.prev_log_weights for r in results]),
+            np.concatenate([r.step_log_weights for r in results]),
+        )
         output = self._output_distribution(outs, weights)
         timer.mark("weight_merge")
 
         sizes = [r.payload.n for r in results]
-        if self.resample and self._should_resample(weights):
+        if self.resample and self._should_resample():
             # Barrier: global ancestor indices from the engine-level
             # generator, then re-scatter contiguous slices of the
             # survivors into the fixed shard partition.

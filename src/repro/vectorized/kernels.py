@@ -69,8 +69,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # array-parameter kernels (one parameter row per particle)
 # ----------------------------------------------------------------------
 def gaussian_sample(mu, var, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``x_i ~ N(mu_i, var_i)``; parameters broadcast elementwise."""
-    return rng.normal(np.asarray(mu, dtype=float), np.sqrt(var))
+    """Draw ``x_i ~ N(mu_i, var_i)``; parameters broadcast elementwise.
+
+    ``Generator.normal(loc, scale)`` computes ``loc + scale * z`` from
+    the same standard-normal stream, so scaling and shifting ``z`` in
+    place gives its draws bit for bit without its broadcasting loop.
+    """
+    mu = np.asarray(mu, dtype=float)
+    sd = np.sqrt(var)
+    z = rng.standard_normal(np.broadcast_shapes(mu.shape, np.shape(sd)))
+    z *= sd
+    z += mu
+    return z
 
 
 def gaussian_log_prob(value, mu, var) -> np.ndarray:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from systematic_oracle import searchsorted_systematic_indices
 
 from repro.errors import InferenceError
 from repro.inference.resampling import (
@@ -124,6 +125,72 @@ class TestIndices:
         idx = systematic_indices(weights, n, rng)
         count0 = int(np.sum(idx == 0))
         assert abs(count0 - n / 2) <= 1.0
+
+
+@st.composite
+def systematic_cases(draw):
+    """(weights, n, seed): random weights, weights with zeros, exact
+    multiples of 1/n, one nonzero weight; n equal to the number of
+    weights or not, always including n in {1, 2, 1000}."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 1000]), st.integers(1, 64)))
+    m = draw(st.one_of(st.just(n), st.integers(1, 64)))
+    kind = draw(st.sampled_from(["random", "zeros", "multiples", "single"]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        weights = data.random(m)
+    elif kind == "zeros":
+        weights = data.random(m) * (data.random(m) < 0.3)
+        weights[data.integers(m)] = 1.0
+    elif kind == "multiples":
+        weights = data.multinomial(n, np.full(m, 1.0 / m)) / n
+    else:
+        weights = np.zeros(m)
+        weights[data.integers(m)] = 1.0
+    return weights, n, draw(st.integers(0, 2**32 - 1))
+
+
+class _FixedOffset:
+    """A generator stand-in whose one uniform draw is chosen."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestSystematicMatchesSearchsorted:
+    """The O(N) counting resampler against the binary-search oracle:
+    identical indices, identical generator state afterwards."""
+
+    @staticmethod
+    def assert_same(weights, n, seed):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = systematic_indices(weights, n, fast)
+        want = searchsorted_systematic_indices(weights, n, slow)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=systematic_cases())
+    def test_identical_indices_and_generator_state(self, case):
+        self.assert_same(*case)
+
+    @pytest.mark.parametrize("u", [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
+    def test_extreme_offsets_on_exact_multiples(self, u, n):
+        # Every pick then lands on or next to a cumulative weight.
+        for m in sorted({1, 3, n}):
+            weights = np.full(m, 1.0 / m)
+            got = systematic_indices(weights, n, _FixedOffset(u))
+            want = searchsorted_systematic_indices(weights, n, _FixedOffset(u))
+            np.testing.assert_array_equal(got, want)
+
+    def test_large_population(self):
+        data = np.random.default_rng(11)
+        log_weights = -0.5 * data.normal(size=250_000) ** 2
+        self.assert_same(normalize_log_weights(log_weights), 250_000, 12)
 
 
 class TestUnnormalizedWeights:

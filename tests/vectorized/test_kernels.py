@@ -84,6 +84,23 @@ class TestLogProb:
 
 
 class TestArrayParameterKernels:
+    @pytest.mark.parametrize(
+        "mu, var",
+        [
+            (np.linspace(-2.0, 2.0, 7), 0.3),  # scalar var
+            (np.linspace(-2.0, 2.0, 7), np.linspace(0.1, 3.0, 7)),  # per-element var
+            (0.5, np.linspace(0.1, 3.0, 7)),  # scalar mu, array var: broadcast
+            (np.arange(6.0).reshape(2, 3), np.array([0.5, 1.0, 2.0])),  # 2-D mu
+        ],
+    )
+    def test_gaussian_sample_is_generator_normal_bit_for_bit(self, mu, var):
+        ours, numpys = np.random.default_rng(21), np.random.default_rng(21)
+        got = gaussian_sample(mu, var, ours)
+        want = numpys.normal(np.asarray(mu, dtype=float), np.sqrt(var))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
     def test_gaussian_per_particle_params(self, rng):
         mus = np.array([-10.0, 0.0, 10.0])
         draws = gaussian_sample(mus, 0.01, rng)
