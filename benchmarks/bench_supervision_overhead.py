@@ -8,13 +8,13 @@ configured, the supervised build must step at the pre-supervision
 build's latency.
 
 * the **disabled** sweep re-measures the committed ``BENCH_PR7.json``
-  latency cells (``pf``, ``pf@scalar@processes:4``,
-  ``pf@scalar@processes-persistent:4`` on the Fig. 2 HMM at 10k
-  particles) with faults off and deadlines unset, and writes
-  ``bench-supervision.json``; CI gates it against the committed
-  baseline with ``check_perf_regression.py --threshold 0.02`` — the
-  supervised build may not regress more than 2% (drift-corrected)
-  against the pre-supervision build.
+  latency cells (``pf`` and ``pf@scalar@processes-persistent:4`` on
+  the Fig. 2 HMM at 10k particles) with faults off and deadlines
+  unset, and writes ``bench-supervision.json``; CI gates it against
+  the committed baseline with ``check_perf_regression.py --threshold
+  0.02`` — the supervised build may not regress more than 2% against
+  the pre-supervision build. Two shared cells are too few for the
+  gate's machine-drift correction, so it compares raw medians.
 * the **armed** run measures the same persistent cell with a 30 s step
   deadline configured (supervision active, never firing) and reports
   the overhead factor for EXPERIMENTS.md, with a loose in-test bound so
@@ -46,7 +46,6 @@ WORKERS = 4
 MULTICORE = (os.cpu_count() or 1) >= 2
 SPECS = [
     "pf",
-    f"pf@scalar@processes:{WORKERS}",
     f"pf@scalar@processes-persistent:{WORKERS}",
 ]
 #: ceiling on the armed-deadline overhead factor for the persistent

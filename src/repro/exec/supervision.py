@@ -19,7 +19,8 @@ Failure classes — each maps to a ``reason`` label on the
 
 When one slot fails repeatedly without an intervening success, the
 restart budget trips (:class:`RestartBudgetExhausted`) and the engines
-degrade the stream off the persistent pool entirely — see
+degrade the stream off the persistent pool to the serial executor —
+the whole ladder is ``processes-persistent`` → ``serial``; see
 ``InferenceEngine._degrade_resident``.
 
 Environment knobs (all validated here, mirroring ``REPRO_SHM_BYTES``):
@@ -62,7 +63,7 @@ class RestartBudgetExhausted(InferenceError):
 
     The signal that the persistent pool cannot serve this stream: the
     engines catch it, reassemble the population from the coordinator's
-    checkpoints, and continue on the next rung of the executor ladder.
+    checkpoints, and continue on the serial executor.
     """
 
 

@@ -17,13 +17,9 @@ tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-import numpy as np
-
-from repro.inference.resampling import ess as ess_of
-
-__all__ = ["StepStats", "DiagnosticsLog", "step_stats_from_log_weights"]
+__all__ = ["StepStats", "DiagnosticsLog"]
 
 
 @dataclass(frozen=True)
@@ -41,19 +37,6 @@ class StepStats:
     def ess_fraction(self) -> float:
         """ESS as a fraction of the particle count."""
         return self.ess / self.n_particles
-
-
-def step_stats_from_log_weights(log_weights: Sequence[float]) -> StepStats:
-    """Compute :class:`StepStats` from a step's raw log-weights."""
-    logw = np.asarray(log_weights, dtype=float)
-    top = logw.max()
-    if np.isneginf(top) or np.isnan(top):
-        return StepStats(float("-inf"), float(logw.size), int(logw.size))
-    w = np.exp(logw - top)
-    total = w.sum()
-    log_evidence = float(top + np.log(total / logw.size))
-    normalized = w / total
-    return StepStats(log_evidence, ess_of(normalized), int(logw.size))
 
 
 class DiagnosticsLog:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,12 +45,7 @@ from repro.delayed.interface import lift_distribution, value_expr
 from repro.delayed.streaming import StreamingGraph
 from repro.dists import Distribution, Empirical, Mixture
 from repro.errors import InferenceError
-from repro.exec.executor import (
-    Executor,
-    ProcessShardExecutor,
-    SerialExecutor,
-    parse_executor,
-)
+from repro.exec.executor import Executor, SerialExecutor, parse_executor
 from repro.exec.shm import materialize
 from repro.exec.supervision import RestartBudgetExhausted
 from repro.obs.registry import count_event
@@ -117,8 +111,7 @@ class InferenceEngine(Node):
     particle, multinomial on the fractional remainder).
 
     ``executor`` selects where the per-shard work of a step runs
-    (``"serial"``, ``"threads:N"``, ``"processes:N"``,
-    ``"processes-persistent:N"``, or an
+    (``"serial"``, ``"threads:N"``, ``"processes-persistent:N"``, or an
     :class:`~repro.exec.executor.Executor` instance). Requesting an
     executor — or passing ``n_shards`` — switches the engine state from
     a plain particle list to a :class:`ShardedPopulation` whose shard
@@ -223,7 +216,7 @@ class InferenceEngine(Node):
             # plan degenerates to the classic sequential step.
             population = ShardedPopulation.build([list(state)], [self.rng])
         timer = TELEMETRY.step_timer()
-        results, population = self._map_population(population, inp)
+        results, population = map_step(self.executor, self, population, inp)
         timer.mark("model_eval")
         outs = [out for result in results for out in result.outs]
         stepped = [p for result in results for p in result.payload]
@@ -278,53 +271,18 @@ class InferenceEngine(Node):
     # ------------------------------------------------------------------
     # worker-resident execution (PersistentProcessExecutor)
     # ------------------------------------------------------------------
-    def _map_population(
-        self, population: ShardedPopulation, inp: Any
-    ) -> Tuple[List[ShardResult], ShardedPopulation]:
-        """Map the step over shards; second ladder rung on pool death.
-
-        ``map_step`` on a :class:`ProcessShardExecutor` ships the whole
-        shard each way and mutates no coordinator state, so when the
-        pool itself dies (:class:`BrokenProcessPool` — workers OOM-killed
-        or reaped) the identical map can simply be re-run serially:
-        same shards, same substreams, bit-identical results. The engine
-        drops to :class:`SerialExecutor` permanently for this stream.
-        """
-        try:
-            return map_step(self.executor, self, population, inp)
-        except BrokenProcessPool:
-            if not isinstance(self.executor, ProcessShardExecutor):
-                raise
-            count_event(
-                "repro_executor_degradations_total",
-                {"from": "processes", "to": "serial"},
-            )
-            warnings.warn(
-                "process pool died mid-stream; continuing serially "
-                "(results are unchanged — shard partition and RNG "
-                "substreams are executor-independent)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            try:
-                self.executor.close()
-            except Exception:
-                pass
-            self.executor = SerialExecutor()
-            return map_step(self.executor, self, population, inp)
-
     def _step_resident(
         self, population: ResidentPopulation, inp: Any
     ) -> Tuple[Distribution, ResidentPopulation]:
         """Supervised resident step: degrade off the pool if it fails.
 
-        Wraps :meth:`_step_resident_plan` with the first rung of the
-        executor-degradation ladder. Everything the plan mutates
-        coordinator-side before the commit barrier — the engine RNG
-        (ancestor draws) and the diagnostics log — is snapshotted here,
-        so when the persistent pool exhausts its restart budget
-        mid-step the step can be re-run from scratch on the next rung
-        with bit-identical results.
+        Wraps :meth:`_step_resident_plan` with the executor-degradation
+        ladder (``processes-persistent`` → ``serial``). Everything the
+        plan mutates coordinator-side before the commit barrier — the
+        engine RNG (ancestor draws) and the diagnostics log — is
+        snapshotted here, so when the persistent pool exhausts its
+        restart budget mid-step the step can be re-run from scratch
+        serially with bit-identical results.
         """
         executor = population.executor
         recoverable = hasattr(executor, "recover_population")
@@ -357,7 +315,7 @@ class InferenceEngine(Node):
         Reassembles the population coordinator-side from the executor's
         checkpoints + oplogs (no worker involved), rewinds the engine
         RNG and diagnostics to the pre-step snapshot, and switches this
-        engine to ``processes:N`` — same shard partition, same
+        engine to :class:`SerialExecutor` — same shard partition, same
         substreams, so the stream continues bit-identically. The shared
         persistent executor itself is left alone (other engines may
         still hold healthy populations on other slots).
@@ -370,16 +328,16 @@ class InferenceEngine(Node):
             del self.diagnostics.steps[diag_mark:]
         count_event(
             "repro_executor_degradations_total",
-            {"from": "processes-persistent", "to": "processes"},
+            {"from": "processes-persistent", "to": "serial"},
         )
         warnings.warn(
             f"persistent executor exhausted its restart budget ({exc}); "
-            "population recovered from checkpoints, continuing on a "
-            "per-step process pool (results are unchanged)",
+            "population recovered from checkpoints, continuing serially "
+            "(results are unchanged)",
             RuntimeWarning,
             stacklevel=4,
         )
-        self.executor = ProcessShardExecutor(getattr(executor, "workers", None))
+        self.executor = SerialExecutor()
         return ShardedPopulation(shards)
 
     def _step_resident_plan(

@@ -16,7 +16,7 @@ the model/method pair has no vectorized equivalent, so the parameter
 never changes *what* is computed — only how fast.
 
 ``executor`` selects where the step runs (:mod:`repro.exec`):
-``"serial"``, ``"threads:N"``, ``"processes:N"``,
+``"serial"``, ``"threads:N"``,
 ``"processes-persistent:N"`` (worker-resident shards: the population
 stays loaded in long-lived worker processes and only commands cross
 the process boundary per step), or an
@@ -80,7 +80,7 @@ def infer(
     ``"scalar"`` (default), ``"vectorized"``, or ``"auto"``; the
     vectorized backends fall back to the scalar engine when the
     model/method pair is not vectorizable. ``executor`` selects the
-    execution layer (``"serial"``, ``"threads:N"``, ``"processes:N"``,
+    execution layer (``"serial"``, ``"threads:N"``,
     ``"processes-persistent:N"``, or an Executor instance) and
     ``n_shards`` the deterministic shard count; either switches the
     engine to a sharded population whose results are identical for

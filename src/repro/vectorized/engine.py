@@ -52,6 +52,7 @@ from repro.exec.population import (
     ResidentPopulation,
     ShardResult,
     ShardedPopulation,
+    map_step,
     shard_sizes,
     spawn_shard_rngs,
 )
@@ -153,9 +154,7 @@ class VectorizedEngine(InferenceEngine):
         else:
             population = ShardedPopulation.build([state], [self.rng])
         timer = TELEMETRY.step_timer()
-        # _map_population carries the processes->serial degradation rung
-        # (BrokenProcessPool) exactly as in the scalar engine.
-        results, population = self._map_population(population, inp)
+        results, population = map_step(self.executor, self, population, inp)
         timer.mark("model_eval")
         outs = _merge([r.outs for r in results])
         log_weights, weights = self._weigh(

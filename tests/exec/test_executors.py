@@ -8,7 +8,6 @@ from repro.errors import InferenceError
 from repro.exec import (
     EXECUTORS,
     PersistentProcessExecutor,
-    ProcessShardExecutor,
     SerialExecutor,
     ThreadShardExecutor,
     parse_executor,
@@ -25,6 +24,12 @@ def _square(x):
     return x * x
 
 
+def _fail_on_two(x):
+    if x == 2:
+        raise ValueError("shard 2 failed")
+    return x
+
+
 class TestMapShards:
     def test_serial_preserves_order(self):
         assert SerialExecutor().map_shards(_square, [3, 1, 2]) == [9, 1, 4]
@@ -35,9 +40,12 @@ class TestMapShards:
                 i * i for i in range(10)
             ]
 
-    def test_processes_preserve_order(self):
-        with ProcessShardExecutor(workers=2) as executor:
-            assert executor.map_shards(_square, [5, 4, 3]) == [25, 16, 9]
+    def test_threads_reraise_shard_exception(self):
+        with ThreadShardExecutor(workers=2) as executor:
+            with pytest.raises(ValueError, match="shard 2 failed"):
+                executor.map_shards(_fail_on_two, [1, 2, 3])
+            # the pool survives a failing shard
+            assert executor.map_shards(_square, [4, 5]) == [16, 25]
 
     def test_pool_reused_after_close(self):
         executor = ThreadShardExecutor(workers=2)
@@ -60,16 +68,16 @@ class TestSpecs:
         assert isinstance(parse_executor("serial"), SerialExecutor)
         assert parse_executor("threads:3").workers == 3
         assert isinstance(parse_executor("threads:3"), ThreadShardExecutor)
-        assert isinstance(parse_executor("processes:2"), ProcessShardExecutor)
+        assert isinstance(
+            parse_executor("processes-persistent:2"), PersistentProcessExecutor
+        )
 
     def test_spec_instances_are_cached(self):
         assert parse_executor("threads:2") is parse_executor("threads:2")
         assert parse_executor("threads:2") is not parse_executor("threads:3")
 
     def test_registry_names(self):
-        assert set(EXECUTORS) == {
-            "serial", "threads", "processes", "processes-persistent",
-        }
+        assert set(EXECUTORS) == {"serial", "threads", "processes-persistent"}
 
     def test_bad_specs_rejected(self):
         with pytest.raises(InferenceError):
@@ -78,6 +86,8 @@ class TestSpecs:
             parse_executor("threads:lots")
         with pytest.raises(InferenceError):
             parse_executor("serial:2")
+        with pytest.raises(InferenceError, match="unknown executor"):
+            parse_executor("processes:2")
         with pytest.raises(InferenceError):
             parse_executor(42)
 

@@ -2,8 +2,8 @@
 
 The determinism contract of the exec layer (ISSUE 2 acceptance): with a
 fixed seed and a fixed shard partition, the posterior is bit-for-bit
-identical under the serial, thread, and process executors at any worker
-count — on the scalar and the vectorized substrate alike.
+identical under the serial, thread, and persistent process executors at
+any worker count — on the scalar and the vectorized substrate alike.
 """
 
 import numpy as np
@@ -11,12 +11,7 @@ import pytest
 
 from repro.bench.models import CoinModel, HmmModel, OutlierModel
 from repro.errors import InferenceError
-from repro.exec import (
-    DEFAULT_SHARDS,
-    ProcessShardExecutor,
-    SerialExecutor,
-    ShardedPopulation,
-)
+from repro.exec import DEFAULT_SHARDS, ShardedPopulation
 from repro.inference import infer
 
 OBSERVATIONS = (0.5, 1.0, -0.3, 2.0, 0.8, -1.1)
@@ -42,15 +37,9 @@ class TestScalarEquivalence:
         assert posterior_means(executor) == posterior_means("serial")
 
     def test_pf_processes_match_serial(self):
-        assert posterior_means("processes:2") == posterior_means("serial")
+        assert posterior_means("processes-persistent:2") == posterior_means("serial")
 
-    def test_acceptance_process4_equals_serial_on_fig2_hmm(self):
-        """ISSUE 2 acceptance: ProcessShardExecutor(workers=4) == SerialExecutor."""
-        serial = posterior_means(SerialExecutor())
-        processes = posterior_means(ProcessShardExecutor(workers=4))
-        assert serial == processes
-
-    @pytest.mark.parametrize("executor", ["threads:2", "processes:2"])
+    @pytest.mark.parametrize("executor", ["threads:2", "processes-persistent:2"])
     def test_sds_matches_serial(self, executor):
         assert posterior_means(executor, method="sds") == posterior_means(
             "serial", method="sds"
@@ -66,13 +55,18 @@ class TestScalarEquivalence:
             "serial", method="importance"
         )
 
+    def test_importance_processes_match_serial(self):
+        assert posterior_means(
+            "processes-persistent:2", method="importance"
+        ) == posterior_means("serial", method="importance")
+
     def test_two_and_four_worker_schedules_identical(self):
         """Worker count is pure schedule: same shards, same posterior."""
         assert posterior_means("threads:2") == posterior_means("threads:4")
 
 
 class TestVectorizedEquivalence:
-    @pytest.mark.parametrize("executor", ["threads:2", "threads:4", "processes:2"])
+    @pytest.mark.parametrize("executor", ["threads:2", "threads:4", "processes-persistent:2"])
     def test_pf_matches_serial(self, executor):
         assert posterior_means(executor, backend="vectorized") == posterior_means(
             "serial", backend="vectorized"

@@ -3,8 +3,8 @@
 The acceptance contract of ISSUE 9: every injected failure mode —
 crash, hang past the deadline, corrupted ring reply, crash loop — is
 survived with a bit-identical posterior, and when the restart budget is
-exhausted the engine degrades ``processes-persistent`` → ``processes``
-→ ``serial`` while the stream keeps running.
+exhausted the engine degrades ``processes-persistent`` → ``serial``
+while the stream keeps running.
 """
 
 import os
@@ -18,7 +18,6 @@ from repro.bench.models import HmmModel
 from repro.errors import InferenceError
 from repro.exec import (
     PersistentProcessExecutor,
-    ProcessShardExecutor,
     SerialExecutor,
     shutdown_executors,
 )
@@ -31,6 +30,7 @@ from repro.exec.supervision import (
 )
 from repro.faults import FaultPlan, clear_fault_plan, fault_plan
 from repro.inference import infer
+from repro.vectorized.engine import VectorizedEngine
 
 OBSERVATIONS = (0.5, 1.0, -0.3, 2.0, 0.8, -1.1)
 
@@ -185,14 +185,12 @@ class TestFaultRecovery:
 
 
 class TestDegradationLadder:
-    """Budget exhaustion walks persistent -> processes -> serial."""
+    """Budget exhaustion walks persistent -> serial."""
 
-    def test_crash_loop_degrades_to_processes(self, counters):
+    def test_crash_loop_degrades_to_serial(self, counters):
         serial = serial_baseline()
-        before = counters(
-            "repro_executor_degradations_total",
-            {"from": "processes-persistent", "to": "processes"},
-        )
+        labels = {"from": "processes-persistent", "to": "serial"}
+        before = counters("repro_executor_degradations_total", labels)
         executor = PersistentProcessExecutor(
             workers=2, checkpoint_every=2, restart_budget=2,
             backoff_base_s=0.01,
@@ -200,62 +198,38 @@ class TestDegradationLadder:
         try:
             plan = FaultPlan().crash(0, 3).fail_respawn(0, count=10)
             with fault_plan(plan):
-                with pytest.warns(RuntimeWarning, match="restart budget"):
+                with pytest.warns(RuntimeWarning, match="restart budget") as record:
                     means, engine = run_stream(executor)
         finally:
             executor.close()
         assert means == serial
-        assert isinstance(engine.executor, ProcessShardExecutor)
-        engine.executor.close()
-        assert counters(
-            "repro_executor_degradations_total",
-            {"from": "processes-persistent", "to": "processes"},
-        ) > before
+        assert isinstance(engine.executor, SerialExecutor)
+        runtime_warnings = [
+            w for w in record if issubclass(w.category, RuntimeWarning)
+        ]
+        assert len(runtime_warnings) == 1
+        assert counters("repro_executor_degradations_total", labels) == before + 1
 
-    def test_degraded_engine_survives_pool_death(self, counters):
-        """Second rung: BrokenProcessPool mid-stream falls back serially."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        import repro.exec.population as population_mod
-        import repro.inference.engine as engine_mod
-
-        serial = serial_baseline()
-        executor = ProcessShardExecutor(workers=2)
-        engine = infer(HmmModel(), n_particles=12, seed=3, executor=executor)
-        state = engine.init()
-        means = []
-        real_map_step = population_mod.map_step
-        armed = []
-
-        def exploding_map_step(executor, stepper, population, inp):
-            if armed and isinstance(executor, ProcessShardExecutor):
-                armed.clear()
-                raise BrokenProcessPool("workers reaped")
-            return real_map_step(executor, stepper, population, inp)
-
-        engine_mod.map_step = exploding_map_step
+    def test_vectorized_crash_loop_degrades_to_serial(self, counters):
+        """The vectorized engine family takes the same single rung."""
+        serial = serial_baseline(backend="vectorized")
+        labels = {"from": "processes-persistent", "to": "serial"}
+        before = counters("repro_executor_degradations_total", labels)
+        executor = PersistentProcessExecutor(
+            workers=2, checkpoint_every=2, restart_budget=1,
+            backoff_base_s=0.01,
+        )
         try:
-            before = counters(
-                "repro_executor_degradations_total",
-                {"from": "processes", "to": "serial"},
-            )
-            for i, y in enumerate(OBSERVATIONS):
-                if i == 2:
-                    armed.append(True)
-                    with pytest.warns(RuntimeWarning, match="pool died"):
-                        dist, state = engine.step(state, y)
-                else:
-                    dist, state = engine.step(state, y)
-                means.append(dist.mean())
+            plan = FaultPlan().crash(1, 2).fail_respawn(1, count=10)
+            with fault_plan(plan):
+                with pytest.warns(RuntimeWarning, match="restart budget"):
+                    means, engine = run_stream(executor, backend="vectorized")
         finally:
-            engine_mod.map_step = real_map_step
             executor.close()
+        assert isinstance(engine, VectorizedEngine)
         assert means == serial
         assert isinstance(engine.executor, SerialExecutor)
-        assert counters(
-            "repro_executor_degradations_total",
-            {"from": "processes", "to": "serial"},
-        ) > before
+        assert counters("repro_executor_degradations_total", labels) == before + 1
 
     def test_exhausted_budget_raises_for_direct_executor_users(self):
         """Callers driving the executor without an engine see the

@@ -17,28 +17,32 @@ from repro.bench.data import coin_data, kalman_data
 from repro.bench.models import CoinModel, KalmanModel
 from repro.dists import Gaussian
 from repro.inference import infer
-from repro.inference.diagnostics import (
-    DiagnosticsLog,
-    StepStats,
-    step_stats_from_log_weights,
-)
+from repro.inference.diagnostics import DiagnosticsLog, StepStats
 from repro.inference.resampling import normalize_log_weights
+
+
+def weigh(step_log_weights):
+    """StepStats of one step from uniform previous weights."""
+    step = np.asarray(step_log_weights, dtype=float)
+    engine = infer(KalmanModel(), n_particles=step.size, method="pf", seed=0)
+    engine._weigh(np.zeros(step.size), step)
+    return engine.last_stats
 
 
 class TestStepStats:
     def test_uniform_weights(self):
-        stats = step_stats_from_log_weights([math.log(0.5)] * 4)
+        stats = weigh([math.log(0.5)] * 4)
         assert stats.log_evidence == pytest.approx(math.log(0.5))
         assert stats.ess == pytest.approx(4.0)
         assert stats.ess_fraction == pytest.approx(1.0)
 
     def test_degenerate_weights(self):
-        stats = step_stats_from_log_weights([0.0, -math.inf, -math.inf])
+        stats = weigh([0.0, -math.inf, -math.inf])
         assert stats.ess == pytest.approx(1.0)
         assert stats.log_evidence == pytest.approx(math.log(1.0 / 3.0))
 
     def test_all_zero_likelihood(self):
-        stats = step_stats_from_log_weights([-math.inf, -math.inf])
+        stats = weigh([-math.inf, -math.inf])
         assert stats.log_evidence == -math.inf
 
 

@@ -390,7 +390,7 @@ class TestCoinBdsOnGenericGraph:
 class TestExecutorBitIdentity:
     @pytest.mark.parametrize(
         "executor",
-        ["serial", "threads:2", "processes:2", "processes-persistent:2"],
+        ["serial", "threads:2", "processes-persistent:2", "processes-persistent:3"],
     )
     def test_outlier_sds_matches_serial_reference(self, executor):
         def run(executor_spec):
