@@ -41,6 +41,7 @@ from repro.dists import (
     MvGaussian,
     Poisson,
 )
+from repro.dists.base import count_value
 from repro.errors import GraphError
 
 __all__ = [
@@ -286,8 +287,8 @@ class _BetaBinomialMarginal(Distribution):
     def log_pdf(self, value) -> float:
         import math
 
-        k = int(value)
-        if k < 0 or k > self.n:
+        k = count_value(value)
+        if k is None or k < 0 or k > self.n:
             return -math.inf
         log_comb = (
             math.lgamma(self.n + 1) - math.lgamma(k + 1) - math.lgamma(self.n - k + 1)
@@ -351,8 +352,8 @@ class _NegativeBinomialMarginal(Distribution):
     def log_pdf(self, value) -> float:
         import math
 
-        k = int(value)
-        if k < 0:
+        k = count_value(value)
+        if k is None or k < 0:
             return -math.inf
         r = self.shape
         p = self.rate / (self.rate + 1.0)  # success prob of the NB

@@ -18,13 +18,19 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.errors import DistributionError
 
-__all__ = ["Distribution", "ScalarDistribution", "require_positive", "require_prob"]
+__all__ = [
+    "Distribution",
+    "ScalarDistribution",
+    "count_value",
+    "require_positive",
+    "require_prob",
+]
 
 
 def require_positive(name: str, value: float) -> float:
@@ -33,6 +39,17 @@ def require_positive(name: str, value: float) -> float:
     if not value > 0.0 or math.isnan(value):
         raise DistributionError(f"{name} must be > 0, got {value!r}")
     return value
+
+
+def count_value(value) -> Optional[int]:
+    """``int(value)`` when ``value`` is integral, else ``None``.
+
+    Ints, bools and integral floats such as ``3.0`` are counts; a count
+    distribution gives any other value zero mass rather than scoring
+    its truncation.
+    """
+    k = int(value)
+    return k if k == value else None
 
 
 def require_prob(name: str, value: float) -> float:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from repro.dists.base import Distribution, require_prob
+from repro.dists.base import Distribution, count_value, require_prob
 from repro.errors import DistributionError
 
 __all__ = ["Bernoulli", "Binomial"]
@@ -66,8 +66,8 @@ class Binomial(Distribution):
         return int(rng.binomial(self.n, self.p))
 
     def log_pdf(self, value) -> float:
-        k = int(value)
-        if k < 0 or k > self.n:
+        k = count_value(value)
+        if k is None or k < 0 or k > self.n:
             return -math.inf
         log_comb = (
             math.lgamma(self.n + 1) - math.lgamma(k + 1) - math.lgamma(self.n - k + 1)

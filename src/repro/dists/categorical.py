@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.dists.base import Distribution
+from repro.dists.base import Distribution, count_value
 from repro.errors import DistributionError
 
 __all__ = ["Categorical", "Dirichlet", "Empirical"]
@@ -40,8 +40,8 @@ class Categorical(Distribution):
         return int(rng.choice(self.probs.size, p=self.probs))
 
     def log_pdf(self, value) -> float:
-        k = int(value)
-        if not 0 <= k < self.probs.size:
+        k = count_value(value)
+        if k is None or not 0 <= k < self.probs.size:
             return -math.inf
         p = self.probs[k]
         return math.log(p) if p > 0 else -math.inf

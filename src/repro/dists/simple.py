@@ -12,7 +12,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.dists.base import Distribution, ScalarDistribution, require_positive
+from repro.dists.base import (
+    Distribution,
+    ScalarDistribution,
+    count_value,
+    require_positive,
+)
 from repro.errors import DistributionError
 
 __all__ = ["Uniform", "Delta", "Gamma", "Poisson", "Exponential"]
@@ -131,8 +136,8 @@ class Poisson(Distribution):
         return int(rng.poisson(self.lam))
 
     def log_pdf(self, value) -> float:
-        k = int(value)
-        if k < 0:
+        k = count_value(value)
+        if k is None or k < 0:
             return -math.inf
         return k * math.log(self.lam) - self.lam - math.lgamma(k + 1)
 

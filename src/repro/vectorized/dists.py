@@ -21,6 +21,12 @@ from repro.dists.base import Distribution
 from repro.dists.mixture import zero_nan_weights
 from repro.dists.mv_gaussian import batched_mv_log_pdf
 from repro.errors import DistributionError
+from repro.vectorized.kernels import (
+    dirichlet_log_prob,
+    lgamma,
+    neg_binomial_log_prob,
+    poisson_log_prob,
+)
 
 __all__ = [
     "ArrayEmpirical",
@@ -280,12 +286,9 @@ class BetaMixtureArray(Distribution):
         self.alphas = alphas
         self.betas = betas
         self.weights = _normalize_weights(weights, alphas.size)
-        # NumPy has no lgamma ufunc; the Python-loop normalizer is paid
-        # once here, not on every log_pdf query.
-        lgamma = np.vectorize(math.lgamma, otypes=[float])
-        self._log_norm = (
-            lgamma(alphas + betas) - lgamma(alphas) - lgamma(betas)
-        )
+        # The normalizer is computed once here, not on every log_pdf
+        # query; shared SDS parameters make it three scalar lgammas.
+        self._log_norm = lgamma(alphas + betas) - lgamma(alphas) - lgamma(betas)
         self.alphas.setflags(write=False)
         self.betas.setflags(write=False)
         self.weights.setflags(write=False)
@@ -362,9 +365,8 @@ class GammaMixtureArray(Distribution):
         self.shapes = shapes
         self.rates = rates
         self.weights = _normalize_weights(weights, shapes.size)
-        # NumPy has no lgamma ufunc; the Python-loop normalizer is paid
-        # once here, not on every log_pdf query.
-        lgamma = np.vectorize(math.lgamma, otypes=[float])
+        # The normalizer is computed once here, not on every log_pdf
+        # query; shared SDS parameters make it one scalar lgamma.
         self._log_norm = shapes * np.log(rates) - lgamma(shapes)
         self.shapes.setflags(write=False)
         self.rates.setflags(write=False)
@@ -451,8 +453,6 @@ class DirichletMixtureArray(Distribution):
         return rng.dirichlet(self.alphas[idx])
 
     def log_pdf(self, value) -> float:
-        from repro.vectorized.kernels import dirichlet_log_prob
-
         value = np.asarray(value, dtype=float)
         logs = dirichlet_log_prob(
             np.broadcast_to(value, self.alphas.shape), self.alphas
@@ -535,11 +535,6 @@ class CountMixtureArray(Distribution):
         return int(rng.poisson(lam))
 
     def _component_logs(self, value) -> np.ndarray:
-        from repro.vectorized.kernels import (
-            neg_binomial_log_prob,
-            poisson_log_prob,
-        )
-
         if self.rates is None:
             return poisson_log_prob(value, self.p0)
         return neg_binomial_log_prob(value, self.p0, self.rates)

@@ -45,6 +45,7 @@ __all__ = [
     "bernoulli_sample",
     "bernoulli_log_prob",
     "beta_sample",
+    "lgamma",
     "beta_log_prob",
     "categorical_sample",
     "categorical_row_log_prob",
@@ -112,7 +113,32 @@ def beta_sample(alpha, beta, rng: np.random.Generator) -> np.ndarray:
     return rng.beta(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+#: The per-element fallback of :func:`lgamma`: one ``math.lgamma`` call
+#: per entry.
+_lgamma_loop = np.vectorize(math.lgamma, otypes=[float])
+
+
+def lgamma(x) -> np.ndarray:
+    """Elementwise ``math.lgamma`` as a fresh float array, bit for bit.
+
+    NumPy has no ``lgamma`` ufunc, so every evaluation is a Python-level
+    ``math.lgamma`` call. Exact delayed sampling keeps the conjugate
+    parameters of every particle equal, so the arrays the batched
+    kernels see are usually constant along the particle axis (axis 0):
+    when every row equals the first, that row is evaluated once and
+    broadcast. Any other input (including one holding a NaN) runs the
+    per-element loop. Like ``math.lgamma``, raises ``ValueError`` at a
+    non-positive integer.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size == 1:
+        return np.full(x.shape, math.lgamma(x.item()))
+    if x.size and (x == x[0]).all():
+        row = x[0]
+        out = np.empty(x.shape)
+        out[...] = math.lgamma(row) if row.ndim == 0 else _lgamma_loop(row)
+        return out
+    return _lgamma_loop(x)
 
 
 def beta_log_prob(value, alpha, beta) -> np.ndarray:
@@ -122,14 +148,13 @@ def beta_log_prob(value, alpha, beta) -> np.ndarray:
     generic batched delayed-sampling graph when a Beta slot is observed
     or scored: the ``i``-th value is scored under
     ``Beta(alpha_i, beta_i)``; values outside ``(0, 1)`` score ``-inf``.
-    (NumPy has no ``lgamma`` ufunc, so the normalizer is a vectorized
-    Python loop — paid only on observe-a-Beta paths, never per chain
-    step.)
+    The normalizer goes through :func:`lgamma`, so parameters shared by
+    every particle cost three scalar ``math.lgamma`` calls.
     """
     value = np.asarray(value, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    log_norm = _lgamma(alpha + beta) - _lgamma(alpha) - _lgamma(beta)
+    log_norm = lgamma(alpha + beta) - lgamma(alpha) - lgamma(beta)
     inside = (value > 0.0) & (value < 1.0)
     safe = np.where(inside, value, 0.5)
     logp = (
@@ -158,12 +183,12 @@ def categorical_row_log_prob(value, probs) -> np.ndarray:
 
     ``value`` is a scalar category (one observation conditioning every
     particle) or an ``(n,)`` integer array of realized categories.
-    Out-of-range categories score ``-inf``.
+    Out-of-range and non-integral categories score ``-inf``.
     """
     probs = np.asarray(probs, dtype=float)
-    k = np.broadcast_to(np.asarray(value, dtype=int), probs.shape[:-1])
-    inside = (k >= 0) & (k < probs.shape[-1])
-    safe = np.where(inside, k, 0)
+    k = np.broadcast_to(np.asarray(value, dtype=float), probs.shape[:-1])
+    inside = (k >= 0) & (k < probs.shape[-1]) & (k == np.floor(k))
+    safe = np.where(inside, k, 0).astype(int)
     p = np.take_along_axis(probs, safe[..., None], axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
         logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
@@ -186,7 +211,7 @@ def gamma_log_prob(value, shape, rate) -> np.ndarray:
     safe = np.where(inside, value, 1.0)
     logp = (
         shape * np.log(rate)
-        - _lgamma(shape)
+        - lgamma(shape)
         + (shape - 1.0) * np.log(safe)
         - rate * safe
     )
@@ -199,7 +224,7 @@ def poisson_log_prob(value, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     inside = (k >= 0.0) & (k == np.floor(k))
     safe = np.where(inside, k, 0.0)
-    logp = safe * np.log(lam) - lam - _lgamma(safe + 1.0)
+    logp = safe * np.log(lam) - lam - lgamma(safe + 1.0)
     return np.where(inside, logp, -np.inf)
 
 
@@ -227,9 +252,9 @@ def neg_binomial_log_prob(value, shape, rate) -> np.ndarray:
     log_p = np.log(rate) - np.log1p(rate)
     log_1mp = -np.log1p(rate)
     logp = (
-        _lgamma(safe + r)
-        - _lgamma(r)
-        - _lgamma(safe + 1.0)
+        lgamma(safe + r)
+        - lgamma(r)
+        - lgamma(safe + 1.0)
         + r * log_p
         + safe * log_1mp
     )
@@ -248,12 +273,21 @@ def dirichlet_sample(alpha, rng: np.random.Generator) -> np.ndarray:
 
 
 def dirichlet_log_prob(value, alpha) -> np.ndarray:
-    """Per-row Dirichlet log-density for ``(n, k)`` values and alphas."""
+    """Per-row Dirichlet log-density for ``(n, k)`` values and alphas.
+
+    Rows off the open simplex score ``-inf``: an entry outside
+    ``(0, 1)``, or a sum that fails the scalar ``Dirichlet.log_pdf``
+    check ``np.isclose(sum, 1, atol=1e-8)``.
+    """
     value = np.asarray(value, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    inside = np.all(value > 0.0, axis=-1) & np.all(value < 1.0, axis=-1)
+    inside = (
+        np.all(value > 0.0, axis=-1)
+        & np.all(value < 1.0, axis=-1)
+        & np.isclose(value.sum(axis=-1), 1.0, atol=1e-8)
+    )
     safe = np.where(value > 0.0, value, 0.5)
-    log_norm = _lgamma(alpha.sum(axis=-1)) - _lgamma(alpha).sum(axis=-1)
+    log_norm = lgamma(alpha.sum(axis=-1)) - lgamma(alpha).sum(axis=-1)
     logp = log_norm + ((alpha - 1.0) * np.log(safe)).sum(axis=-1)
     return np.where(inside, logp, -np.inf)
 
@@ -350,18 +384,7 @@ def _beta_sample_n(d: Beta, n: int, rng) -> np.ndarray:
 
 
 def _beta_log_prob(d: Beta, values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    log_norm = (
-        math.lgamma(d.alpha + d.beta) - math.lgamma(d.alpha) - math.lgamma(d.beta)
-    )
-    inside = (values > 0.0) & (values < 1.0)
-    safe = np.where(inside, values, 0.5)
-    logp = (
-        log_norm
-        + (d.alpha - 1.0) * np.log(safe)
-        + (d.beta - 1.0) * np.log1p(-safe)
-    )
-    return np.where(inside, logp, -np.inf)
+    return beta_log_prob(values, d.alpha, d.beta)
 
 
 def _categorical_sample_n(d: Categorical, n: int, rng) -> np.ndarray:
@@ -369,9 +392,9 @@ def _categorical_sample_n(d: Categorical, n: int, rng) -> np.ndarray:
 
 
 def _categorical_log_prob(d: Categorical, values) -> np.ndarray:
-    k = np.asarray(values, dtype=int)
-    inside = (k >= 0) & (k < d.probs.size)
-    p = np.where(inside, d.probs[np.where(inside, k, 0)], 0.0)
+    k = np.asarray(values, dtype=float)
+    inside = (k >= 0) & (k < d.probs.size) & (k == np.floor(k))
+    p = np.where(inside, d.probs[np.where(inside, k, 0).astype(int)], 0.0)
     with np.errstate(divide="ignore"):
         return np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
 

@@ -1,23 +1,39 @@
 """Batched distribution kernels against the scalar interface."""
 
+import math
+
 import numpy as np
 import pytest
 
+import repro.vectorized.dists as vdists
+import repro.vectorized.kernels as kernels
+from repro.bench import CoinModel, PoissonCountModel, coin_data, count_data
+from repro.delayed.conjugacy import _NegativeBinomialMarginal
 from repro.dists import (
     Bernoulli,
     Beta,
     Categorical,
+    Dirichlet,
+    Gamma,
     Gaussian,
     MvGaussian,
     Poisson,
 )
+from repro.inference import infer
 from repro.vectorized import log_prob, sample_n, supports_batch
 from repro.vectorized.kernels import (
     bernoulli_log_prob,
     bernoulli_sample,
+    beta_log_prob,
+    categorical_row_log_prob,
     categorical_sample,
+    dirichlet_log_prob,
+    gamma_log_prob,
     gaussian_log_prob,
     gaussian_sample,
+    lgamma,
+    neg_binomial_log_prob,
+    poisson_log_prob,
 )
 
 BATCHED_DISTS = [
@@ -77,6 +93,13 @@ class TestLogProb:
         out = log_prob(Categorical([0.5, 0.5]), np.array([-1, 0, 5]))
         assert out[0] == -np.inf and out[2] == -np.inf
 
+    def test_categorical_non_integral_matches_scalar(self):
+        d = Categorical([0.2, 0.5, 0.3])
+        values = np.array([0.5, 1.0, 2.0, 1.5, -0.5])
+        out = log_prob(d, values)
+        assert list(out) == [d.log_pdf(v) for v in values]
+        assert out[0] == out[3] == out[4] == -np.inf
+
     def test_fallback_matches_scalar(self, rng):
         d = Poisson(2.5)
         values = np.array([0, 1, 2, 3])
@@ -134,3 +157,191 @@ class TestArrayParameterKernels:
         probs = np.eye(3)
         draws = categorical_sample(probs, rng)
         assert np.array_equal(draws, [0, 1, 2])
+
+
+_old_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+class TestLgamma:
+    """``lgamma`` is ``math.lgamma`` elementwise, bit for bit, on every input."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.full(1000, 3.5),
+            np.r_[7.25, np.full(999, 3.5)],  # only the first entry differs
+            np.r_[np.full(999, 3.5), 7.25],  # only the last entry differs
+            np.linspace(0.1, 50.0, 257),
+            np.full(8, np.nan),
+            np.r_[2.0, np.nan, 2.0],
+            np.full(5, np.inf),
+            np.array([np.inf, -np.inf, 0.5]),
+            np.array(4.5),
+            np.array([1e-300]),
+            np.array([]),
+            np.full((6, 3), [1.5, 2.5, 40.0]),  # (n, k) with equal rows
+            np.arange(1.0, 19.0).reshape(6, 3),  # (n, k) with unequal rows
+            np.full((4, 3), 2.0),
+            np.full((1, 3), [1.5, 2.5, 3.5]),
+            -np.full(4, 2.5),  # negative, non-integral
+        ],
+        ids=lambda x: f"shape{x.shape}",
+    )
+    def test_bit_identical_to_vectorized_math_lgamma(self, x):
+        got = lgamma(x)
+        want = _old_lgamma(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("x", [3.5, np.float64(3.5), [3.5, 3.5], [[1.5, 2.0]]])
+    def test_accepts_scalars_and_sequences(self, x):
+        assert lgamma(x).tobytes() == _old_lgamma(x).tobytes()
+
+    @pytest.mark.parametrize(
+        "x", [np.full(5, 2.0), np.array(2.0), np.array([2.0]), np.full((3, 2), 2.0)]
+    )
+    def test_output_is_fresh_and_writeable(self, x):
+        first = lgamma(x)
+        assert first.flags.writeable
+        first[...] = -1.0
+        assert lgamma(x).tobytes() == _old_lgamma(x).tobytes()
+        assert np.all(x == 2.0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.zeros(5),
+            np.full(5, -3.0),
+            np.array(0.0),
+            np.array([-1.0]),
+            np.r_[np.full(4, 2.5), -1.0],
+            np.full((3, 2), [2.5, 0.0]),
+        ],
+        ids=lambda x: f"shape{x.shape}",
+    )
+    def test_non_positive_integer_raises(self, x):
+        with pytest.raises(ValueError):
+            _old_lgamma(x)
+        with pytest.raises(ValueError):
+            lgamma(x)
+
+    def test_shared_rows_skip_the_loop(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_lgamma_loop", _forbidden_loop)
+        x = np.full(1000, 3.5)
+        assert lgamma(x).tobytes() == _old_lgamma(x).tobytes()
+        with pytest.raises(AssertionError):
+            lgamma(np.linspace(1.0, 2.0, 1000))
+
+
+def _forbidden_loop(x):
+    raise AssertionError(f"per-element lgamma loop entered on shape {np.shape(x)}")
+
+
+@pytest.mark.parametrize(
+    "model, data",
+    [
+        (CoinModel, coin_data(8, seed=3)),
+        (PoissonCountModel, count_data(8, seed=3)),
+    ],
+    ids=["coin", "count"],
+)
+def test_exact_sds_step_never_enters_the_lgamma_loop(monkeypatch, model, data):
+    """Exact SDS keeps one conjugate posterior shared by every particle, so
+    each lgamma of a 1k-particle step is one scalar evaluation."""
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return lgamma(x)
+
+    monkeypatch.setattr(kernels, "_lgamma_loop", _forbidden_loop)
+    monkeypatch.setattr(kernels, "lgamma", counted)
+    monkeypatch.setattr(vdists, "lgamma", counted)
+    engine = infer(model(), 1000, method="sds", backend="vectorized", seed=5)
+    state = engine.init()
+    for obs in data.observations:
+        dist, state = engine.step(state, obs)
+    assert len(dist) == 1000
+    assert (1000,) in calls
+
+
+# Differential cases for the five lgamma-using kernels: (kernel call,
+# scalar log_pdf) over interior, boundary and off-support values. The
+# non-integral and off-simplex cases are the count and simplex bugfixes.
+_LGAMMA_KERNEL_CASES = [
+    *[
+        (
+            f"beta-{v}",
+            lambda v=v: beta_log_prob(v, 2.5, 1.5),
+            lambda v=v: Beta(2.5, 1.5).log_pdf(v),
+        )
+        for v in (0.3, 0.0, 1.0, -0.2, 1.5, 1e-9)
+    ],
+    *[
+        (
+            f"gamma-{v}",
+            lambda v=v: gamma_log_prob(v, 3.0, 0.7),
+            lambda v=v: Gamma(3.0, 0.7).log_pdf(v),
+        )
+        for v in (2.5, 0.0, 1.0, -1.0, 1e-9, 40.0)
+    ],
+    *[
+        (
+            f"poisson-{v}",
+            lambda v=v: poisson_log_prob(v, 2.0),
+            lambda v=v: Poisson(2.0).log_pdf(v),
+        )
+        for v in (3, 0, 1, -1, 2.5, 3.0, -0.5, 40)
+    ],
+    *[
+        (
+            f"neg_binomial-{v}",
+            lambda v=v: neg_binomial_log_prob(v, 2.0, 3.0),
+            lambda v=v: _NegativeBinomialMarginal(2.0, 3.0).log_pdf(v),
+        )
+        for v in (4, 0, 1, -1, 2.5, 4.0, -0.5, 30)
+    ],
+    *[
+        (
+            f"dirichlet-{i}",
+            lambda v=v: dirichlet_log_prob([v], [[2.0, 3.0, 4.0]])[0],
+            lambda v=v: Dirichlet([2.0, 3.0, 4.0]).log_pdf(v),
+        )
+        for i, v in enumerate(
+            [
+                [0.2, 0.3, 0.5],  # interior
+                [0.0, 0.5, 0.5],  # boundary
+                [1.0, 0.0, 0.0],  # vertex
+                [-0.1, 0.6, 0.5],  # negative entry, sums to one
+                [0.2, 0.2, 0.2],  # off the simplex
+                [0.4, 0.4, 0.4],  # off the simplex
+            ]
+        )
+    ],
+    *[
+        (
+            f"categorical-{v}",
+            lambda v=v: categorical_row_log_prob(v, [[0.2, 0.5, 0.3]])[0],
+            lambda v=v: Categorical([0.2, 0.5, 0.3]).log_pdf(v),
+        )
+        for v in (0, 2, 1.0, True, -1, 3, 1.5, 0.5, -0.5)
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "batched, scalar",
+    [case[1:] for case in _LGAMMA_KERNEL_CASES],
+    ids=[case[0] for case in _LGAMMA_KERNEL_CASES],
+)
+def test_log_prob_kernel_matches_scalar_log_pdf(batched, scalar):
+    got = float(np.asarray(batched()))
+    assert got == pytest.approx(scalar(), rel=1e-12, abs=0.0)
+
+
+def test_dirichlet_off_simplex_rows_score_minus_inf():
+    values = np.array([[0.2, 0.3, 0.5], [0.2, 0.2, 0.2], [0.25, 0.25, 0.5]])
+    alphas = np.full((3, 3), [2.0, 3.0, 4.0])
+    got = dirichlet_log_prob(values, alphas)
+    assert np.isfinite(got[0]) and np.isfinite(got[2])
+    assert got[1] == -np.inf
