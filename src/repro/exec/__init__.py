@@ -2,8 +2,9 @@
 
 The inference engines of :mod:`repro.inference` and
 :mod:`repro.vectorized` both express one synchronous step as the same
-plan — map the step over population shards, merge the weight vectors,
-resample at a barrier — and this package owns that plan:
+plan — map the step over population shards, combine the per-shard
+weight partials, resample at a barrier — and this package owns that
+plan:
 
 * :class:`Executor` and its implementations (:class:`SerialExecutor`,
   :class:`ThreadShardExecutor`, :class:`PersistentProcessExecutor` —
@@ -12,7 +13,9 @@ resample at a barrier — and this package owns that plan:
   tasks run,
 * :class:`ShardedPopulation` fixes the deterministic partition: shard
   count and per-shard ``SeedSequence`` substreams are independent of
-  the executor, so any worker count reproduces the serial posterior
+  the executor, and :class:`ShardHome` runs the same shard operations
+  (step, weight reduction, self-resampling at the barrier) under every
+  executor, so any worker count reproduces the serial posterior
   bit-for-bit at a fixed seed,
 * :class:`StreamServer` multiplexes many concurrent engine streams
   (sessions) over one shared executor.
@@ -37,10 +40,12 @@ from repro.exec.population import (
     DEFAULT_SHARDS,
     ResidentPopulation,
     Shard,
+    ShardBarrier,
+    ShardHome,
     ShardResult,
     ShardSummary,
     ShardedPopulation,
-    build_exchange_plan,
+    exchange_shards,
     map_step,
     shard_bounds,
     shard_sizes,
@@ -68,12 +73,14 @@ __all__ = [
     "default_workers",
     "DEFAULT_SHARDS",
     "Shard",
+    "ShardBarrier",
+    "ShardHome",
     "ShardResult",
     "ShardSummary",
     "ShardedPopulation",
     "ResidentPopulation",
     "map_step",
-    "build_exchange_plan",
+    "exchange_shards",
     "shard_sizes",
     "shard_bounds",
     "split_sequence",

@@ -1,30 +1,33 @@
 """Executors: where the shards of one inference step actually run.
 
-An :class:`Executor` schedules the map phase of a sharded inference
-step — apply one task to every shard, collect the results in shard
-order. The executor decides *where* the work runs (inline, a thread
-pool, long-lived worker processes) but never *what* is computed: shard
-payloads are disjoint, each shard advances its own
-:class:`numpy.random.Generator` substream, and the merge / resample
-barrier happens in the caller. Results are therefore bit-for-bit
-identical across executors and worker counts — the deterministic
-partitioning idea of Bobpp-style parallel search, applied to a particle
-population.
+An :class:`Executor` decides *where* the shard operations of a sharded
+inference step run (inline, a thread pool, long-lived worker processes)
+but never *what* is computed: shard payloads are disjoint, each shard
+advances its own :class:`numpy.random.Generator` substream, and every
+executor runs the same shard operations
+(:class:`~repro.exec.population.ShardHome`). Results are therefore
+bit-for-bit identical across executors and worker counts — the
+deterministic partitioning idea of Bobpp-style parallel search, applied
+to a particle population.
+
+The *materialized* executors (:class:`SerialExecutor`,
+:class:`ThreadShardExecutor`) hold no shards: ``map_shards(fn, tasks)``
+applies one task to every shard and returns the results in shard order.
 
 :class:`PersistentProcessExecutor` (``"processes-persistent:N"``) is
 the worker-resident variant: its workers hold their shard — payload
 plus RNG substream — in-process across steps, so per-step traffic is
-command messages (step input out, per-shard weight vectors and outputs
-back) instead of full-population pickles, and the resample barrier
-ships only the global ancestor indices plus the few particles that
-actually migrate between shards. The array payloads themselves travel
-through one shared-memory ring per worker *per direction*
-(:mod:`repro.exec.shm`) when the platform offers it — replies as
-zero-copy read-only views, commands (inputs, exchange plans, replayed
-checkpoints) as descriptors — so a steady-state no-resample step moves
-zero pickled payload bytes over the pipe. The pickle path is kept as an
-automatic, metered fallback — pass ``shm_bytes=0`` (or set the
-``REPRO_SHM_BYTES`` environment variable) to disable both rings.
+command messages (step input out, per-shard outputs and weights back)
+instead of full-population pickles, and the resample barrier ships a
+few numbers per shard plus the few particles that actually migrate
+between shards. The array payloads themselves travel through one
+shared-memory ring per worker *per direction* (:mod:`repro.exec.shm`)
+when the platform offers it — replies as zero-copy read-only views,
+commands (inputs, migrant rows, replayed checkpoints) as descriptors —
+so a steady-state no-resample step moves zero pickled payload bytes
+over the pipe. The pickle path is kept as an automatic, metered
+fallback — pass ``shm_bytes=0`` (or set the ``REPRO_SHM_BYTES``
+environment variable) to disable both rings.
 
 Executors are selected by spec string (``"serial"``, ``"threads:4"``,
 ``"processes-persistent:4"``) through :func:`parse_executor`, which
@@ -38,7 +41,6 @@ not accumulate worker processes.
 
 from __future__ import annotations
 
-import abc
 import atexit
 import multiprocessing
 import os
@@ -51,6 +53,7 @@ from time import monotonic, perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import InferenceError
+from repro.exec.population import ShardHome, shard_len
 from repro.exec.shm import ShmRing, TransportStats, materialize, measure_payload
 from repro.exec.supervision import (
     RestartBudgetExhausted,
@@ -78,7 +81,6 @@ __all__ = [
     "parse_executor",
     "shutdown_executors",
     "default_workers",
-    "shard_len",
 ]
 
 
@@ -87,12 +89,15 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-class Executor(abc.ABC):
-    """Schedules shard tasks; never changes what is computed.
+class Executor:
+    """Schedules shard operations; never changes what is computed.
 
-    ``map_shards(fn, tasks)`` applies ``fn`` to every task and returns
-    the results *in task order* — the ordering contract the merge step
-    relies on for determinism.
+    A materialized executor (``resident`` False) offers
+    ``map_shards(fn, tasks)``: apply ``fn`` to every task and return the
+    results *in task order* — the ordering contract the barrier relies
+    on for determinism. A resident one keeps the shards in its workers
+    and is driven through a
+    :class:`~repro.exec.population.ResidentPopulation` handle instead.
     """
 
     #: number of workers the executor schedules onto (1 for serial).
@@ -100,12 +105,8 @@ class Executor(abc.ABC):
     #: True when the executor keeps shard payloads resident in its
     #: workers across steps; engines then drive it through a
     #: handle-based :class:`~repro.exec.population.ResidentPopulation`
-    #: instead of shipping payloads through ``map_shards``.
+    #: instead of ``map_shards``.
     resident: bool = False
-
-    @abc.abstractmethod
-    def map_shards(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        """Apply ``fn`` to each task, preserving task order."""
 
     def close(self) -> None:
         """Release any pooled workers (no-op for the serial executor)."""
@@ -189,14 +190,15 @@ def _persistent_worker_main(
     """Main loop of one persistent worker: resident shards + commands.
 
     ``homes`` maps ``(population key, shard index)`` to the resident
-    shard, the stepper that advances it, and the accumulated log-weight
-    vector of the most recent step (so the weight commit after a
-    non-resampling barrier needs no data from the coordinator at all).
+    :class:`~repro.exec.population.ShardHome`: the shard, the stepper
+    that advances it, and what the barrier needs from the most recent
+    step (so a weight commit needs no data from the coordinator at all,
+    and a resample only the shard's barrier numbers).
 
     When the coordinator allocated shared-memory rings for this worker,
     payloads are routed through them in both directions: reply arrays
     park in the *reply* ring (``ring_name``), command arrays —
-    observation inputs, exchange plans, replayed checkpoint shards —
+    observation inputs, migrant rows, replayed checkpoint shards —
     arrive as descriptors into the *command* ring (``cmd_ring_name``)
     and are copied out before use. Reply-ring attachment failure
     silently degrades to the pickle path; command-ring attachment is
@@ -244,9 +246,7 @@ def _persistent_worker_loop(conn, homes, ring, cmd_ring, fault_state=None) -> No
         try:
             if op == "load":
                 _, key, index, shard, stepper = msg
-                homes[(key, index)] = {
-                    "shard": shard, "stepper": stepper, "logw": None,
-                }
+                homes[(key, index)] = ShardHome(shard, stepper)
                 reply: Any = None
             elif op == "step":
                 if fault_state is not None:
@@ -254,64 +254,38 @@ def _persistent_worker_loop(conn, homes, ring, cmd_ring, fault_state=None) -> No
                     # this process's Nth step op (replayed steps count,
                     # which is what lets gen>=1 faults target revival).
                     fault_state.on_step(ring)
-                # Older senders (and oplog replay) use the 4-tuple form
-                # without the trace flag; replayed steps never trace.
+                # Oplog replay uses the 4-tuple form without the trace
+                # flag; replayed steps never trace.
                 _, key, index, inp, *rest = msg
                 trace = bool(rest[0]) if rest else False
-                home = homes[(key, index)]
-                shard = home["shard"]
                 started = perf_counter() if trace else 0.0
-                result = home["stepper"].step_shard(shard.payload, shard.rng, inp)
-                shard.payload = result.payload
-                shard.rng = result.rng
-                home["logw"] = result.prev_log_weights + result.step_log_weights
-                reply = (
-                    result.outs,
-                    result.step_log_weights,
-                    result.prev_log_weights,
-                )
+                outs, weights = homes[(key, index)].step(inp)
+                reply = (outs, tuple(weights))
                 if trace:
                     # Spans ride back as a plain list appended to the
                     # summary tuple; ShardSummary's ``spans`` field has
-                    # a default, so 3-tuple replies stay valid.
+                    # a default, so 2-tuple replies stay valid.
                     spans = [("worker_step", (perf_counter() - started) * 1e3)]
                     reply = reply + (spans,)
-            elif op == "export":
-                _, key, index, local_indices = msg
-                home = homes[(key, index)]
-                reply = home["stepper"].shard_export(
-                    home["shard"].payload, local_indices
-                )
+            elif op == "resample":
+                _, key, index, barrier = msg
+                reply = homes[(key, index)].resample(barrier)
             elif op == "assemble":
-                _, key, index, plan, imports = msg
-                home = homes[(key, index)]
-                home["shard"].payload = home["stepper"].shard_assemble(
-                    home["shard"].payload, plan, imports
-                )
-                home["logw"] = None
+                _, key, index, barrier, imports = msg
+                homes[(key, index)].assemble(barrier, imports)
                 reply = None
             elif op == "weights":
                 _, key, index = msg
-                home = homes[(key, index)]
-                if home["logw"] is None:
-                    raise InferenceError(
-                        "weight commit without a preceding step"
-                    )
-                home["shard"].payload = home["stepper"].shard_commit_weights(
-                    home["shard"].payload, home["logw"]
-                )
+                homes[(key, index)].commit_weights()
                 reply = None
             elif op == "pull":
                 _, key, index = msg
-                reply = homes[(key, index)]["shard"]
+                reply = homes[(key, index)].shard
             elif op == "unload":
                 _, key = msg
                 for home_key in [k for k in homes if k[0] == key]:
                     del homes[home_key]
                 reply = None
-            elif op == "call":
-                _, fn, task = msg
-                reply = fn(task)
             else:
                 raise InferenceError(f"unknown persistent-worker op {op!r}")
         except BaseException:
@@ -470,14 +444,16 @@ class PersistentProcessExecutor(Executor):
     Loads each shard — payload plus RNG substream — into a long-lived
     worker once and then drives it with small command messages:
 
-    * ``step``: the step input goes out; the per-shard outputs and
-      ``step_log_weights`` / ``prev_log_weights`` vectors come back.
-      The advanced payload and generator stay in the worker.
-    * resample barrier: the coordinator draws the global ancestor
-      indices and ships only the exchange plan plus the few particles
-      that actually migrate between shards (with systematic or
-      stratified resampling the sorted indices keep most ancestors
-      shard-local).
+    * ``step``: the step input goes out; the per-shard outputs and the
+      shard's reduced weights
+      (:class:`~repro.inference.resampling.ShardWeights`) come back.
+      The advanced payload, generator and log-weights stay in the
+      worker.
+    * resample barrier: each shard receives its
+      :class:`~repro.exec.population.ShardBarrier` (a few numbers for
+      systematic resampling), resamples itself, and returns only the
+      rows whose picks land in another shard (``resample``); then every
+      shard installs its own survivors plus its imports (``assemble``).
     * no-resample barrier: a bare ``weights`` command; each worker
       folds its own step log-weights into its resident payload.
 
@@ -745,13 +721,9 @@ class PersistentProcessExecutor(Executor):
 
     @staticmethod
     def _replay_msg(key: int, index: int, entry: tuple) -> tuple:
-        if entry[0] == "step":
-            return ("step", key, index, entry[1])
-        if entry[0] == "assemble":
-            return ("assemble", key, index, entry[1], entry[2])
-        if entry[0] == "weights":
-            return ("weights", key, index)
-        raise InferenceError(f"unknown oplog entry {entry[0]!r}")
+        if entry[0] not in ("step", "assemble", "weights"):
+            raise InferenceError(f"unknown oplog entry {entry[0]!r}")
+        return (entry[0], key, index) + tuple(entry[1:])
 
     @staticmethod
     def _expect_ok(slot: _WorkerSlot, timeout: Optional[float] = None) -> Any:
@@ -981,13 +953,6 @@ class PersistentProcessExecutor(Executor):
             raise InferenceError(f"persistent worker failed:\n{errors[0]}")
         return results
 
-    # -- generic executor protocol -------------------------------------
-    def map_shards(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        """One-off task mapping on the persistent workers (round-robin)."""
-        return self._scatter_gather(
-            [(i % self.workers, ("call", fn, task)) for i, task in enumerate(tasks)]
-        )
-
     # -- resident-population protocol ----------------------------------
     def new_key(self) -> int:
         """A fresh population key, unique within this executor."""
@@ -999,8 +964,9 @@ class PersistentProcessExecutor(Executor):
         """Make ``shards`` resident, keyed by ``key``; checkpoint them.
 
         ``stepper`` is the engine: it is pickled to each worker once and
-        supplies ``step_shard`` plus the worker-side shard operations
-        (``shard_export`` / ``shard_assemble`` / ``shard_commit_weights``).
+        supplies ``step_shard`` plus the shard operations the worker's
+        :class:`~repro.exec.population.ShardHome` calls (``shard_export``
+        / ``shard_keep`` / ``shard_assemble`` / ``shard_commit_weights``).
         """
         if key in self._populations:
             raise InferenceError(f"population key {key!r} already resident")
@@ -1033,12 +999,14 @@ class PersistentProcessExecutor(Executor):
 
     def step_population(
         self, key: int, inp: Any, trace: bool = False
-    ) -> List[Tuple[Any, Any, Any]]:
-        """Advance every shard; returns per-shard (outs, step_logw, prev_logw).
+    ) -> List[tuple]:
+        """Advance every shard; returns per-shard ``(outs, weights)``.
 
-        With ``trace=True`` each worker times its shard step and appends
-        the span list as a fourth summary element. The oplog records the
-        step without the flag — replayed steps never trace.
+        ``weights`` is the shard's reduced weights as a plain tuple
+        (:class:`~repro.inference.resampling.ShardWeights` fields). With
+        ``trace=True`` each worker times its shard step and appends the
+        span list as a third summary element. The oplog records the step
+        without the flag — replayed steps never trace.
         """
         state = self._state(key)
         summaries = self._mutate(
@@ -1063,45 +1031,38 @@ class PersistentProcessExecutor(Executor):
             oplog.append(("weights",))
         self._after_commit(state)
 
-    def exchange_population(
-        self,
-        key: int,
-        requests: Sequence[Dict[int, List[int]]],
-        plans: Sequence[List[tuple]],
-    ) -> None:
-        """Resample barrier: export migrating particles, rebuild shards.
+    def exchange_population(self, key: int, barriers: Sequence[Any]) -> None:
+        """Resample barrier: shards resample themselves, migrants move.
 
-        ``requests[d][s]`` lists the source-local indices destination
-        shard ``d`` needs from shard ``s``; ``plans[d]`` is the slot
-        plan the destination worker rebuilds from (see
-        :func:`~repro.exec.population.build_exchange_plan`). Exports
-        are gathered *before* any shard mutates, so a crash anywhere in
-        the barrier stays recoverable.
+        ``barriers[s]`` is shard ``s``'s
+        :class:`~repro.exec.population.ShardBarrier`. Every shard first
+        resamples itself, setting its survivors aside and returning the
+        rows whose picks fill another shard's slots. Then every shard
+        installs its survivors plus its imports. Nothing is
+        installed before every shard has exported, so a crash anywhere
+        in the barrier stays recoverable. The oplog keeps each barrier
+        and the imports: a few numbers plus the migrant rows per shard.
         """
         state = self._state(key)
-        pairs = [
-            (dest, source, local_indices)
-            for dest, request in enumerate(requests)
-            for source, local_indices in sorted(request.items())
-        ]
         packages = self._scatter_gather(
             [
-                (self._slot_of(source), ("export", key, source, local_indices))
-                for _, source, local_indices in pairs
+                (self._slot_of(s), ("resample", key, s, barriers[s]))
+                for s in range(state.n_shards)
             ]
         )
         imports: List[Dict[int, Any]] = [{} for _ in range(state.n_shards)]
-        for (dest, source, _), package in zip(pairs, packages):
-            imports[dest][source] = package
+        for source, package in enumerate(packages):
+            for dest, rows in package.items():
+                imports[dest][source] = rows
         self._mutate(
             state,
             [
-                (self._slot_of(d), ("assemble", key, d, plans[d], imports[d]))
+                (self._slot_of(d), ("assemble", key, d, barriers[d], imports[d]))
                 for d in range(state.n_shards)
             ],
         )
         for d in range(state.n_shards):
-            state.oplogs[d].append(("assemble", plans[d], imports[d]))
+            state.oplogs[d].append(("assemble", barriers[d], imports[d]))
         self._after_commit(state)
 
     def pull_population(self, key: int) -> List[Any]:
@@ -1142,13 +1103,16 @@ class PersistentProcessExecutor(Executor):
         failing checkpoint pull must not poison the stream: the old
         checkpoint + oplog still reconstruct the current state exactly,
         and whatever broke the pull will resurface on the next real
-        command where supervision handles it.
+        command where supervision handles it. The failure is counted in
+        ``repro_checkpoint_failures_total``: until a pull succeeds, the
+        oplog keeps growing.
         """
         state.steps += 1
         if state.steps % self.checkpoint_every == 0:
             try:
                 checkpoints = self.pull_population(state.key)
             except Exception:
+                count_event("repro_checkpoint_failures_total")
                 return
             state.checkpoints = checkpoints
             state.oplogs = [[] for _ in state.sizes]
@@ -1159,10 +1123,10 @@ class PersistentProcessExecutor(Executor):
         The degradation path: when the restart budget is exhausted the
         engines call this to reassemble the population from the
         coordinator's own checkpoints + oplogs, then continue on the
-        serial executor. Replay mirrors the worker loop exactly
-        (same ``step_shard`` / ``shard_assemble`` / ``shard_commit_weights``
-        calls on the same checkpointed payload and RNG substream), so
-        the recovered shards are bit-identical to the lost residents.
+        serial executor. Replay runs the worker's own
+        :class:`~repro.exec.population.ShardHome` operations on the same
+        checkpointed payload and RNG substream, so the recovered shards
+        are bit-identical to the lost residents.
 
         A trailing unpaired ``step`` entry — one whose commit barrier
         never ran because that is where the pool died — is dropped:
@@ -1179,44 +1143,17 @@ class PersistentProcessExecutor(Executor):
         for index in range(state.n_shards):
             # Replay mutates the payload in place for some steppers —
             # roundtrip the checkpoint so it stays a pristine copy.
-            shard = pickle.loads(pickle.dumps(state.checkpoints[index]))
+            home = ShardHome(
+                pickle.loads(pickle.dumps(state.checkpoints[index])),
+                state.stepper,
+            )
             oplog = list(state.oplogs[index])
             if oplog and oplog[-1][0] == "step":
                 oplog.pop()
-            logw = None
             for entry in oplog:
-                if entry[0] == "step":
-                    result = state.stepper.step_shard(
-                        shard.payload, shard.rng, entry[1]
-                    )
-                    shard.payload = result.payload
-                    shard.rng = result.rng
-                    logw = result.prev_log_weights + result.step_log_weights
-                elif entry[0] == "assemble":
-                    shard.payload = state.stepper.shard_assemble(
-                        shard.payload, entry[1], entry[2]
-                    )
-                    logw = None
-                elif entry[0] == "weights":
-                    if logw is None:
-                        raise InferenceError(
-                            "weight commit without a preceding step"
-                        )
-                    shard.payload = state.stepper.shard_commit_weights(
-                        shard.payload, logw
-                    )
-                else:
-                    raise InferenceError(f"unknown oplog entry {entry[0]!r}")
-            shards.append(shard)
+                home.replay(entry)
+            shards.append(home.shard)
         return shards
-
-
-def shard_len(shard: Any) -> int:
-    """Particle count of a shard payload (list or ParticleBatch-like)."""
-    payload = shard.payload
-    if hasattr(payload, "n"):
-        return int(payload.n)
-    return len(payload)
 
 
 #: spec name -> executor class, for ``"name"`` / ``"name:N"`` specs.

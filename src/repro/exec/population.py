@@ -3,47 +3,66 @@
 One inference step over a sharded population is a fixed plan::
 
     map-step          every shard advances its particles with its own
-                      RNG substream (scheduled by an Executor),
-    merge-weights     the per-shard weight vectors are concatenated in
-                      shard order and normalized globally,
-    resample-barrier  the engine draws global ancestor indices from its
-                      own generator and the survivors are re-scattered
-                      into contiguous shards of the original sizes.
+                      RNG substream (scheduled by an Executor) and
+                      reduces its own log-weights to a few partials
+                      (:class:`~repro.inference.resampling.ShardWeights`),
+    combine           the coordinator combines the S partials into shard
+                      mass fractions, the evidence and the ESS,
+    resample-barrier  the coordinator draws the one systematic offset and
+                      sends each shard a :class:`ShardBarrier`: that
+                      offset plus the shard's cumulative-mass and pick
+                      bounds. Each shard derives its own offspring
+                      counts, keeps its own survivors and exports only
+                      the rows whose picks land in another shard.
+
+The barrier costs the coordinator O(shards): systematic resampling's
+ancestor map is monotone, so a shard's picks and a shard's slots are
+both contiguous ranges, and only the particles near a shard boundary
+can migrate. The other resamplers draw global indices in the
+coordinator; one ``bincount`` reduces them to the same per-shard
+offspring counts, which then ride the barrier instead of the offset.
 
 Determinism comes from fixing the *partition*, not the schedule: the
 shard count and the per-shard :class:`numpy.random.SeedSequence`
 substreams are properties of the population, chosen independently of
-the executor, so any worker count — serial, 4 threads, 4 processes —
-replays exactly the same random streams and produces the same posterior
-bit-for-bit.
+the executor, and every executor runs the same shard operations
+(:class:`ShardHome`, which :func:`map_step` and :func:`exchange_shards`
+schedule over materialized shards), so any worker count — serial, 4
+threads, 4 processes — produces the same posterior bit-for-bit. Summation order
+depends on the shard count, so a different partition is a different,
+equally valid, stream.
 
 Shard payloads are opaque to this module: the scalar engines put a
 ``list`` of :class:`~repro.inference.particles.Particle` objects in each
 shard, the vectorized engines a
 :class:`~repro.vectorized.batch.ParticleBatch` slice. The engine
-supplies the per-shard stepper; :func:`map_step` owns scheduling and
-RNG-state bookkeeping.
+supplies the per-shard stepper (``step_shard``, ``shard_export``,
+``shard_keep``, ``shard_assemble``, ``shard_commit_weights``).
 
 :class:`ResidentPopulation` is the worker-resident variant of the same
 plan for :class:`~repro.exec.executor.PersistentProcessExecutor`: the
 shards stay loaded in long-lived workers, the engine sees only a
 handle, and each phase of the cycle becomes a command — ``map_step``
 returns light :class:`ShardSummary` records, the resample barrier
-ships the :func:`build_exchange_plan` output plus the few migrating
-particles, and a barrier without resampling ships nothing at all.
+ships the per-shard barriers plus the few migrating rows, and a
+barrier without resampling ships nothing at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.exec.executor import Executor, shard_len
 from repro.exec.shm import register_shm_leaf
-from repro.obs.spans import TELEMETRY
+
+if TYPE_CHECKING:
+    # Imported lazily at run time: the executor module imports this one,
+    # and repro.inference imports the exec package.
+    from repro.exec.executor import Executor
+    from repro.inference.resampling import ShardWeights
 
 __all__ = [
     "DEFAULT_SHARDS",
@@ -52,9 +71,11 @@ __all__ = [
     "ShardSummary",
     "ShardedPopulation",
     "ResidentPopulation",
-    "ExchangePlan",
+    "ShardBarrier",
+    "ShardHome",
     "map_step",
-    "build_exchange_plan",
+    "exchange_shards",
+    "shard_len",
     "shard_sizes",
     "shard_bounds",
     "split_sequence",
@@ -177,17 +198,6 @@ class ShardedPopulation:
     def payloads(self) -> List[Any]:
         return [shard.payload for shard in self.shards]
 
-    def with_payloads(self, payloads: Sequence[Any]) -> "ShardedPopulation":
-        """Same shard structure (indices, generators), new payloads."""
-        if len(payloads) != self.n_shards:
-            raise InferenceError("payload count must match shard count")
-        return ShardedPopulation(
-            [
-                Shard(shard.index, shard.rng, payload)
-                for shard, payload in zip(self.shards, payloads)
-            ]
-        )
-
     def __len__(self) -> int:
         return self.n_shards
 
@@ -200,87 +210,75 @@ class ShardSummary:
     """What a *resident* shard reports back from the map phase.
 
     The light-weight counterpart of :class:`ShardResult`: the advanced
-    payload and generator stay in the worker, only the per-particle
-    outputs and the two log-weight vectors cross the process boundary.
+    payload, generator and log-weights stay in the worker; only the
+    per-particle outputs and the shard's reduced weights cross the
+    process boundary.
     """
 
     #: stacked per-particle outputs (list for scalar shards, array
     #: pytree for batch shards)
     outs: Any
-    #: this step's observe/factor log-weight contributions
-    step_log_weights: np.ndarray
-    #: accumulated log-weights carried into the step
-    prev_log_weights: np.ndarray
+    #: the shard's log-weights reduced in the worker
+    weights: "ShardWeights"
     #: worker-side telemetry spans ``[(phase, duration_ms), ...]`` when
-    #: the step command requested tracing; None otherwise. Old replies
-    #: (and oplog replays) omit the field entirely.
+    #: the step command requested tracing; None otherwise.
     spans: Any = None
 
 
-class ExchangePlan:
-    """Array-encoded slot plan of one destination shard at the barrier.
+@dataclass(frozen=True)
+class ShardBarrier:
+    """What one shard needs to resample itself at the barrier.
 
-    The transport-friendly form of the per-slot tuple list: three
-    parallel arrays — ``kind`` (0 = local ancestor, 1 = import),
-    ``a`` (the local index for kind 0, the source shard for kind 1) and
-    ``b`` (the export-package row for kind 1) — that ride the
-    shared-memory command ring as descriptors instead of pickling
-    O(shard size) tuples every resample. Iterating yields exactly the
-    classic entries (``("local", i)`` / ``("import", s, r)``), so the
-    scalar engine's clone bookkeeping is unchanged; the vectorized
-    engine consumes the arrays directly.
+    Systematic resampling ships O(1) numbers: the coordinator's one
+    uniform ``offset`` plus the shard's ``fraction`` of the mass and the
+    cumulative ``mass`` before it; the shard counts its own picks with
+    :func:`~repro.inference.resampling.systematic_shard_counts`. The
+    other resamplers draw global indices in the coordinator and ship
+    the shard's offspring ``counts`` instead.
+
+    Either way the shard owns the global picks ``picks[0] <= j <
+    picks[1]``, and pick ``j`` fills slot ``j`` of the fixed partition
+    whose shard offsets are ``slots``. Both ranges are contiguous, so
+    the shard keeps the picks inside its own slots and exports the rest.
     """
 
-    __slots__ = ("kind", "a", "b")
+    #: this shard's index
+    index: int
+    #: shard offsets of the fixed partition (``S + 1`` entries)
+    slots: Tuple[int, ...]
+    #: the global picks whose ancestor lives in this shard
+    picks: Tuple[int, int]
+    #: systematic: the uniform offset of pick 0
+    offset: float = 0.0
+    #: systematic: the cumulative mass of the shards before this one
+    mass: float = 0.0
+    #: systematic: this shard's share of the mass
+    fraction: float = 1.0
+    #: other resamplers: this shard's offspring count per particle
+    counts: Optional[np.ndarray] = None
 
-    LOCAL = 0
-    IMPORT = 1
+    def routes(self) -> List[Tuple[int, int, int]]:
+        """``(destination, first, stop)`` for each shard this one's picks fill.
 
-    def __init__(self, kind: np.ndarray, a: np.ndarray, b: np.ndarray):
-        self.kind = np.asarray(kind, dtype=np.uint8)
-        self.a = np.asarray(a, dtype=np.int64)
-        self.b = np.asarray(b, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self.kind.shape[0])
-
-    def __iter__(self):
-        for kind, a, b in zip(self.kind, self.a, self.b):
-            if kind == self.LOCAL:
-                yield ("local", int(a))
-            else:
-                yield ("import", int(a), int(b))
-
-    def __getstate__(self):
-        return (self.kind, self.a, self.b)
-
-    def __setstate__(self, state):
-        self.kind, self.a, self.b = state
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExchangePlan):
-            return (
-                np.array_equal(self.kind, other.kind)
-                and np.array_equal(self.a, other.a)
-                and np.array_equal(self.b, other.b)
-            )
-        if isinstance(other, (list, tuple)):
-            # Entry-tuple form, the pre-array representation.
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        imports = int(np.count_nonzero(self.kind))
-        return f"ExchangePlan(slots={len(self)}, imports={imports})"
+        ``first:stop`` slices the shard's ancestor array (one entry per
+        owned pick, in pick order).
+        """
+        lo, hi = self.picks
+        out = []
+        for dest in range(len(self.slots) - 1):
+            first = max(lo, self.slots[dest])
+            stop = min(hi, self.slots[dest + 1])
+            if first < stop:
+                out.append((dest, first - lo, stop - lo))
+        return out
 
 
-# The plan's index arrays park in the command ring like any other array
-# payload; the codec exists on both sides of the pipe (workers import
-# this module to unpickle the stepper).
+# A barrier command opens up so a non-systematic barrier's offspring
+# counts ride the command ring; the systematic one is a few numbers.
 register_shm_leaf(
-    ExchangePlan,
-    lambda plan: (plan.kind, plan.a, plan.b),
-    lambda parts: ExchangePlan(*parts),
+    ShardBarrier,
+    lambda b: (b.index, b.slots, b.picks, b.offset, b.mass, b.fraction, b.counts),
+    lambda parts: ShardBarrier(*parts),
 )
 
 # A checkpoint ``pull`` reply is one Shard; opening it up lets the
@@ -293,59 +291,116 @@ register_shm_leaf(
 )
 
 
-def build_exchange_plan(
-    indices: np.ndarray, sizes: Sequence[int]
-) -> Tuple[List[ExchangePlan], List[Dict[int, np.ndarray]]]:
-    """Plan the resample barrier against worker-resident shards.
+class ShardHome:
+    """One shard and the shard-side operations of the step cycle.
 
-    ``indices`` are the global ancestor indices (engine-drawn) and
-    ``sizes`` the fixed shard partition; destination shard ``d``
-    receives the contiguous slice ``indices[start_d:stop_d]`` — exactly
-    the re-scatter of the materialized plan. Returns ``(plans,
-    requests)``:
+    Holds the shard (payload plus RNG substream), the stepper that
+    advances it and what the barrier needs from its latest step: the
+    accumulated log-weights (for a commit) and the weights normalized
+    within the shard (for resampling). A persistent worker keeps one
+    per resident shard and runs its commands through it; coordinator
+    recovery replays oplogs through it; the materialized executors run
+    the barrier through transient ones. One implementation, so every
+    executor computes the same bits.
 
-    * ``plans[d]`` — an :class:`ExchangePlan` with one entry per
-      destination slot, either ``("local", local_index)`` (the ancestor
-      already lives in shard ``d``) or ``("import", source_shard,
-      row)`` (the ancestor migrates; ``row`` indexes the export package
-      requested from that source).
-    * ``requests[d][s]`` — the source-local indices destination ``d``
-      needs from shard ``s``, in row order (an int array, so export
-      commands ride the ring). An ancestor needed several times by one
-      destination is shipped once and referenced per slot.
+    The resample barrier takes two calls: :meth:`resample` derives the
+    shard's ancestors, sets its own survivors aside and returns the rows
+    other shards need; :meth:`assemble` installs the survivors and the
+    rows imported from other shards. Nothing is installed before every
+    shard has exported, so a failure between the two leaves the shard
+    as the step left it.
     """
-    offsets = np.concatenate([[0], np.cumsum(np.asarray(sizes, dtype=np.int64))])
-    indices = np.asarray(indices, dtype=np.int64)
-    if len(indices) != int(offsets[-1]):
-        raise InferenceError(
-            f"need exactly {int(offsets[-1])} ancestor indices, got {len(indices)}"
+
+    __slots__ = ("shard", "stepper", "log_weights", "weights", "_kept")
+
+    def __init__(self, shard: Shard, stepper: Any):
+        self.shard = shard
+        self.stepper = stepper
+        self.log_weights: Optional[np.ndarray] = None
+        self.weights: Optional[np.ndarray] = None
+        self._kept: Any = None
+
+    def step(self, inp: Any) -> Tuple[Any, "ShardWeights"]:
+        """Advance the shard; returns its outputs and reduced weights."""
+        from repro.inference.resampling import reduce_shard_weights
+
+        result = self.stepper.step_shard(self.shard.payload, self.shard.rng, inp)
+        self.shard.payload = result.payload
+        self.shard.rng = result.rng
+        self.log_weights = result.prev_log_weights + result.step_log_weights
+        reduced = reduce_shard_weights(self.log_weights, result.prev_log_weights)
+        self.weights = reduced.weights
+        self._kept = None
+        return result.outs, reduced
+
+    def resample(self, barrier: ShardBarrier) -> Dict[int, Any]:
+        """Resample the shard; returns the rows bound for other shards.
+
+        The survivors whose picks fill this shard's own slots are set
+        aside for :meth:`assemble`; the result maps each other shard to
+        the rows of the picks that fill its slots.
+        """
+        from repro.inference.resampling import (
+            ancestors_from_counts,
+            systematic_shard_counts,
         )
-    source_of = np.searchsorted(offsets, indices, side="right") - 1
-    local_of = indices - offsets[source_of]
-    plans: List[ExchangePlan] = []
-    requests: List[Dict[int, np.ndarray]] = []
-    for dest in range(len(sizes)):
-        start, stop = int(offsets[dest]), int(offsets[dest + 1])
-        source = source_of[start:stop]
-        local = local_of[start:stop]
-        kind = (source != dest).astype(np.uint8)
-        a = np.where(kind == 0, local, source)
-        b = np.zeros(len(a), dtype=np.int64)
-        rows_by_source: Dict[int, Dict[int, int]] = {}
-        for pos in np.nonzero(kind)[0]:
-            # Import rows are numbered in first-appearance order per
-            # source — the same dedup the tuple-based plan used, so the
-            # rebuilt shards are bit-identical.
-            rows = rows_by_source.setdefault(int(source[pos]), {})
-            b[pos] = rows.setdefault(int(local[pos]), len(rows))
-        plans.append(ExchangePlan(kind, a, b))
-        requests.append(
-            {
-                s: np.fromiter(rows, dtype=np.int64, count=len(rows))
-                for s, rows in rows_by_source.items()
-            }
+
+        if self.weights is None:
+            raise InferenceError("resample without a preceding step")
+        if barrier.counts is None:
+            cumulative = systematic_shard_counts(
+                self.weights, barrier.fraction, barrier.mass, barrier.picks,
+                barrier.offset, barrier.slots[-1],
+            )
+        else:
+            cumulative = np.cumsum(barrier.counts)
+        ancestors = ancestors_from_counts(cumulative)
+        payload = self.shard.payload
+        exports = {}
+        kept = ancestors[:0]
+        for dest, first, stop in barrier.routes():
+            if dest == barrier.index:
+                kept = ancestors[first:stop]
+            else:
+                exports[dest] = self.stepper.shard_export(payload, ancestors[first:stop])
+        self._kept = self.stepper.shard_keep(payload, kept)
+        return exports
+
+    def assemble(self, barrier: ShardBarrier, imports: Dict[int, Any]) -> None:
+        """Install the survivors and the imported rows.
+
+        Slots fill in pick order and a shard's picks are contiguous, so
+        rows from lower-indexed sources precede the survivors and rows
+        from higher-indexed ones follow them.
+        """
+        if self._kept is None:  # replayed from the oplog
+            self.resample(barrier)
+        sources = sorted(imports)
+        self.shard.payload = self.stepper.shard_assemble(
+            self._kept,
+            [imports[s] for s in sources if s < barrier.index],
+            [imports[s] for s in sources if s > barrier.index],
         )
-    return plans, requests
+        self.log_weights = self.weights = self._kept = None
+
+    def commit_weights(self) -> None:
+        """Barrier without resampling: fold the step's log-weights in."""
+        if self.log_weights is None:
+            raise InferenceError("weight commit without a preceding step")
+        self.shard.payload = self.stepper.shard_commit_weights(
+            self.shard.payload, self.log_weights
+        )
+
+    def replay(self, entry: tuple) -> None:
+        """Re-apply one logged command (see the executor's oplog)."""
+        if entry[0] == "step":
+            self.step(entry[1])
+        elif entry[0] == "assemble":
+            self.assemble(entry[1], entry[2])
+        elif entry[0] == "weights":
+            self.commit_weights()
+        else:
+            raise InferenceError(f"unknown oplog entry {entry[0]!r}")
 
 
 class ResidentPopulation:
@@ -359,7 +414,7 @@ class ResidentPopulation:
     exchange — instead of shipping them through every call.
     """
 
-    def __init__(self, executor: Executor, key: int, sizes: Sequence[int]):
+    def __init__(self, executor: "Executor", key: int, sizes: Sequence[int]):
         self.executor = executor
         self.key = key
         self.sizes = list(sizes)
@@ -367,7 +422,7 @@ class ResidentPopulation:
 
     @classmethod
     def create(
-        cls, executor: Executor, stepper: Any, shards: Sequence[Shard]
+        cls, executor: "Executor", stepper: Any, shards: Sequence[Shard]
     ) -> "ResidentPopulation":
         """Load ``shards`` into the executor's workers under a new key."""
         sizes = [shard_len(shard) for shard in shards]
@@ -393,22 +448,20 @@ class ResidentPopulation:
         With ``trace=True`` the step command asks each worker to time
         its shard step and ship the spans back with the summary.
         """
+        from repro.inference.resampling import ShardWeights
+
         self._check_live()
         return [
-            ShardSummary(*summary)
-            for summary in self.executor.step_population(
+            ShardSummary(outs, ShardWeights(*weights), *spans)
+            for outs, weights, *spans in self.executor.step_population(
                 self.key, inp, trace=trace
             )
         ]
 
-    def resample(self, indices: np.ndarray) -> None:
-        """Barrier with resampling: ship the plan, exchange migrants."""
+    def resample(self, barriers: Sequence[ShardBarrier]) -> None:
+        """Barrier with resampling: shards resample themselves, migrants move."""
         self._check_live()
-        timer = TELEMETRY.step_timer()
-        plans, requests = build_exchange_plan(np.asarray(indices), self.sizes)
-        timer.mark("exchange_plan")
-        self.executor.exchange_population(self.key, requests, plans)
-        timer.mark("migrate")
+        self.executor.exchange_population(self.key, barriers)
 
     def commit_weights(self) -> None:
         """Barrier without resampling: workers fold weights locally."""
@@ -444,24 +497,50 @@ class ResidentPopulation:
 
 
 def map_step(
-    executor: Executor,
+    executor: "Executor",
     stepper: Any,
     population: ShardedPopulation,
     inp: Any,
-) -> Tuple[List[ShardResult], ShardedPopulation]:
+) -> Tuple[List[Tuple[Any, "ShardWeights"]], List[ShardHome]]:
     """The map phase of one step: advance every shard under ``executor``.
 
-    Returns the per-shard results in shard order plus the advanced
-    population (payloads and generators taken from the results).
+    Returns each shard's ``(outs, reduced weights)`` in shard order plus
+    the :class:`ShardHome` of each advanced shard, ready for the barrier.
+    The reductions run in the map tasks, so they spread over the workers.
     """
-    results = executor.map_shards(
-        lambda shard: stepper.step_shard(shard.payload, shard.rng, inp),
-        population.shards,
+    homes = [
+        ShardHome(Shard(shard.index, shard.rng, shard.payload), stepper)
+        for shard in population.shards
+    ]
+    return executor.map_shards(lambda home: home.step(inp), homes), homes
+
+
+def exchange_shards(
+    executor: "Executor",
+    homes: Sequence[ShardHome],
+    barriers: Sequence[ShardBarrier],
+) -> ShardedPopulation:
+    """The resample barrier over materialized shards.
+
+    The same shard operations a persistent worker runs — resample, then
+    assemble once every shard has exported — scheduled by ``executor``.
+    """
+    packages = executor.map_shards(
+        lambda pair: pair[0].resample(pair[1]), list(zip(homes, barriers))
     )
-    advanced = ShardedPopulation(
-        [
-            Shard(shard.index, result.rng, result.payload)
-            for shard, result in zip(population.shards, results)
-        ]
+    imports: List[Dict[int, Any]] = [{} for _ in homes]
+    for source, package in enumerate(packages):
+        for dest, rows in package.items():
+            imports[dest][source] = rows
+    executor.map_shards(
+        lambda i: homes[i].assemble(barriers[i], imports[i]), range(len(homes))
     )
-    return results, advanced
+    return ShardedPopulation([home.shard for home in homes])
+
+
+def shard_len(shard: Any) -> int:
+    """Particle count of a shard payload (list or ParticleBatch-like)."""
+    payload = shard.payload
+    if hasattr(payload, "n"):
+        return int(payload.n)
+    return len(payload)

@@ -3,11 +3,12 @@
 The persistent executor's steady-state traffic has two directions:
 
 * **reply** (worker → coordinator): the arrays a worker sends back from
-  each ``step`` command — the stacked outputs and the two log-weight
-  vectors — plus export packages and checkpoint ``pull`` payloads.
-* **cmd** (coordinator → worker): per-step observation inputs, resample
-  exchange plans (ancestor index arrays and migrating particle rows),
-  and the checkpointed shard payloads replayed after a worker revival.
+  each ``step`` command — the stacked outputs and the shard-normalized
+  weights — plus migrant rows at the resample barrier and checkpoint
+  ``pull`` payloads.
+* **cmd** (coordinator → worker): per-step observation inputs, the
+  migrant rows a shard imports at the resample barrier, and the
+  checkpointed shard payloads replayed after a worker revival.
 
 Pickling ships those arrays through the pipe byte by byte; this module
 moves the array *payloads* through one
@@ -82,7 +83,7 @@ def shm_available() -> bool:
 #: opaque types the transport knows how to open up:
 #: type -> (decompose(obj) -> walkable pytree, rebuild(pytree) -> obj).
 #: Layers that own array-carrying payload objects (the vectorized
-#: package's ChainOuts, the exec layer's Shard / exchange plans)
+#: package's ChainOuts, the exec layer's Shard / ShardBarrier)
 #: register here so their arrays ride the ring too; registration happens
 #: at import time on both sides of the pipe, since workers import the
 #: same modules to unpickle the stepper.

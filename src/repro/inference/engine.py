@@ -23,20 +23,22 @@ Engines:
   maintained across steps; the baseline whose memory and latency grow
   with time (Section 6.3).
 
-Execution runs through the pluggable layer of :mod:`repro.exec`: one
-step is a map over population shards (each with its own RNG substream),
-a global weight merge, and a resample barrier. By default the
-population is a single shard driven by the engine's own generator —
-bit-for-bit the classic sequential semantics. Passing ``executor=``
-(or ``n_shards=``) partitions the population into deterministic shards
-whose results are identical for any worker count.
+Execution runs through the pluggable layer of :mod:`repro.exec`. By
+default the population is one list driven by the engine's own
+generator — the classic sequential semantics: one global weight
+normalization, then the resampler. Passing ``executor=`` (or
+``n_shards=``) partitions the population into deterministic shards:
+one step is then a map over the shards (each with its own RNG
+substream, each reducing its own log-weights), a combine of the
+per-shard partials, and a resample barrier in which every shard
+resamples itself (:mod:`repro.exec.population`). Its results are
+identical for any executor and worker count.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,8 +54,10 @@ from repro.obs.registry import count_event
 from repro.exec.population import (
     DEFAULT_SHARDS,
     ResidentPopulation,
+    ShardBarrier,
     ShardResult,
     ShardedPopulation,
+    exchange_shards,
     map_step,
     spawn_shard_rngs,
     split_sequence,
@@ -66,7 +70,16 @@ from repro.inference.particles import (
     clone_state_concrete,
     state_words,
 )
-from repro.inference.resampling import RESAMPLERS, ess, normalize_log_weights
+from repro.inference.resampling import (
+    RESAMPLERS,
+    ShardWeights,
+    ess,
+    log_normalizer,
+    normalize_log_weights,
+    report_nan_log_weights,
+    systematic_indices,
+    systematic_shard_bounds,
+)
 from repro.obs.spans import TELEMETRY
 from repro.runtime.node import Node, ProbNode
 from repro.symbolic import free_rvars
@@ -79,23 +92,6 @@ __all__ = [
     "StreamingDelayedSampler",
     "OriginalDelayedSampler",
 ]
-
-
-def _log_normalizer(log_weights: np.ndarray) -> float:
-    """``log sum_i exp(log_weights_i)``, a NaN log-weight counting as ``-inf``.
-
-    All-zero log-weights — the population after every resample — give
-    ``log n`` without a pass over ``exp``.
-    """
-    if not log_weights.any():
-        return math.log(log_weights.size)
-    logw = log_weights[~np.isnan(log_weights)]
-    top = logw.max(initial=-np.inf)
-    if not np.isfinite(top):
-        return float(top)
-    logw -= top
-    np.exp(logw, out=logw)
-    return float(top + np.log(logw.sum()))
 
 
 class InferenceEngine(Node):
@@ -208,23 +204,18 @@ class InferenceEngine(Node):
     ) -> Tuple[Distribution, Union[List[Particle], ShardedPopulation]]:
         if isinstance(state, ResidentPopulation):
             return self._step_resident(state, inp)
-        sharded = isinstance(state, ShardedPopulation)
-        if sharded:
-            population = state
-        else:
-            # Single shard on the engine's own generator: the executor
-            # plan degenerates to the classic sequential step.
-            population = ShardedPopulation.build([list(state)], [self.rng])
+        if isinstance(state, ShardedPopulation):
+            return self._step_shards(state, inp)
+        # One population on the engine's own generator: the classic
+        # sequential step.
         timer = TELEMETRY.step_timer()
-        results, population = map_step(self.executor, self, population, inp)
+        result = self.step_shard(list(state), self.rng, inp)
         timer.mark("model_eval")
-        outs = [out for result in results for out in result.outs]
-        stepped = [p for result in results for p in result.payload]
+        stepped = result.payload
         log_weights, weights = self._weigh(
-            np.concatenate([r.prev_log_weights for r in results]),
-            np.concatenate([r.step_log_weights for r in results]),
+            result.prev_log_weights, result.step_log_weights
         )
-        output = self._output_distribution(outs, weights)
+        output = self._output_distribution(result.outs, weights)
         timer.mark("weight_merge")
         if self.resample and self._should_resample():
             stepped = self._resample(stepped, weights)
@@ -234,11 +225,7 @@ class InferenceEngine(Node):
                 particle.log_weight = float(logw)
             timer.mark("weight_commit")
         timer.total("step")
-        if not sharded:
-            return output, stepped
-        return output, population.with_payloads(
-            split_sequence(stepped, population.n_shards)
-        )
+        return output, stepped
 
     def step_shard(
         self, particles: List[Particle], rng: np.random.Generator, inp: Any
@@ -276,7 +263,7 @@ class InferenceEngine(Node):
     ) -> Tuple[Distribution, ResidentPopulation]:
         """Supervised resident step: degrade off the pool if it fails.
 
-        Wraps :meth:`_step_resident_plan` with the executor-degradation
+        Wraps :meth:`_step_shards` with the executor-degradation
         ladder (``processes-persistent`` → ``serial``). Everything the
         plan mutates coordinator-side before the commit barrier — the
         engine RNG (ancestor draws) and the diagnostics log — is
@@ -294,7 +281,7 @@ class InferenceEngine(Node):
                 else None
             )
         try:
-            return self._step_resident_plan(population, inp)
+            return self._step_shards(population, inp)
         except RestartBudgetExhausted as exc:
             if not recoverable:
                 raise
@@ -340,47 +327,141 @@ class InferenceEngine(Node):
         self.executor = SerialExecutor()
         return ShardedPopulation(shards)
 
-    def _step_resident_plan(
-        self, population: ResidentPopulation, inp: Any
-    ) -> Tuple[Distribution, ResidentPopulation]:
-        """One step as commands against resident shard handles.
+    def _step_shards(
+        self, population: Union[ShardedPopulation, ResidentPopulation], inp: Any
+    ) -> Tuple[Distribution, Union[ShardedPopulation, ResidentPopulation]]:
+        """One step over a sharded population, materialized or resident.
 
-        The same plan as the materialized path — map the step, merge
-        the weight vectors, resample at a global barrier — but the
-        shard payloads never leave their workers: the map phase returns
-        only outputs and weight vectors, the barrier ships only the
-        global ancestor indices plus the migrating particles (or, when
-        resampling does not trigger, nothing at all).
+        Every shard advances and reduces its own log-weights (in the
+        executor's workers); the coordinator combines the per-shard
+        partials (:meth:`_combine`) and, when resampling triggers,
+        sends each shard its :class:`ShardBarrier` (:meth:`_barriers`).
+        Each shard then resamples itself and only the rows that change
+        shards move. The same shard operations run under every
+        executor, so the result does not depend on which one runs them.
+        Resident reply arrays are read-only views into the workers'
+        rings, valid until the next command: :meth:`_merge_shard_outs`
+        and :meth:`_combine` copy them out before the barrier is sent.
         """
+        resident = isinstance(population, ResidentPopulation)
         timer = TELEMETRY.step_timer()
-        summaries = population.map_step(inp, trace=TELEMETRY.enabled)
-        if TELEMETRY.enabled:
-            # Worker-side spans piggybacked on the step replies: fold
-            # them into the coordinator's registry at the merge point.
-            for summary in summaries:
-                if summary.spans:
-                    TELEMETRY.recorder.record_shipped(summary.spans)
+        if resident:
+            summaries = population.map_step(inp, trace=TELEMETRY.enabled)
+            if TELEMETRY.enabled:
+                # Worker-side spans piggybacked on the step replies: fold
+                # them into the coordinator's registry at the merge point.
+                for summary in summaries:
+                    if summary.spans:
+                        TELEMETRY.recorder.record_shipped(summary.spans)
+            stepped = [(s.outs, s.weights) for s in summaries]
+        else:
+            stepped, homes = map_step(self.executor, self, population, inp)
         timer.mark("model_eval")
-        outs = self._merge_shard_outs([s.outs for s in summaries])
-        # Only the weights outlive this statement: the log-weights stay
-        # with the workers, so none of the vectors is held at the barrier.
-        weights = self._weigh(
-            np.concatenate([s.prev_log_weights for s in summaries]),
-            np.concatenate([s.step_log_weights for s in summaries]),
-        )[1]
+        outs = self._merge_shard_outs([outs for outs, _ in stepped])
+        partials = [partial for _, partial in stepped]
+        weights, fractions = self._combine(partials)
         output = self._output_distribution(outs, weights)
         timer.mark("weight_merge")
         if self.resample and self._should_resample():
-            # Barrier: ancestor indices from the engine-level generator
-            # in the coordinator — identical under every executor.
-            indices = np.asarray(self.resampler(weights, self.n_particles, self.rng))
-            population.resample(indices)
+            barriers = self._barriers(partials, fractions, weights)
+            if resident:
+                population.resample(barriers)
+            else:
+                population = exchange_shards(self.executor, homes, barriers)
             timer.mark("resample")
         else:
-            population.commit_weights()
+            if resident:
+                population.commit_weights()
+            else:
+                for home in homes:
+                    home.commit_weights()
+                population = ShardedPopulation([home.shard for home in homes])
             timer.mark("weight_commit")
         timer.total("step")
         return output, population
+
+    def _combine(self, partials: List[ShardWeights]) -> Tuple[np.ndarray, np.ndarray]:
+        """The global weights and shard mass fractions; updates :attr:`last_stats`.
+
+        The sharded counterpart of :meth:`_weigh`, from O(shards)
+        numbers: :func:`normalize_log_weights` over the shards' log
+        masses gives each shard's fraction of the mass and the log
+        normalizer, from which come the evidence and the ESS. When
+        every particle scored ``-inf`` the weights fall back to uniform
+        over particles, not over shards. NaN log-weights, treated as
+        ``-inf`` where the shards reduced them, are counted and warned
+        about here, once, whichever process reduced them.
+        """
+        sizes = np.array([p.weights.size for p in partials])
+        fractions, log_z = normalize_log_weights(
+            np.array([p.log_mass for p in partials]), return_log_normalizer=True
+        )
+        nan_count = sum(p.nan_count for p in partials)
+        if nan_count:
+            report_nan_log_weights(nan_count)
+        if np.isneginf(log_z):
+            fractions = sizes / sizes.sum()
+            evidence = float("-inf")
+        else:
+            evidence = log_z - log_normalizer(
+                np.array([p.prev_log_mass for p in partials])
+            )
+        denom = float(np.dot(fractions * fractions, [p.sum_sq for p in partials]))
+        weights = np.empty(int(sizes.sum()))
+        start = 0
+        for fraction, partial in zip(fractions, partials):
+            stop = start + partial.weights.size
+            np.multiply(partial.weights, fraction, out=weights[start:stop])
+            start = stop
+        self.last_stats = StepStats(
+            evidence, 1.0 / denom if denom > 0.0 else 0.0, int(weights.size)
+        )
+        if self.diagnostics is not None:
+            self.diagnostics.record(self.last_stats)
+        return weights, fractions
+
+    def _barriers(
+        self,
+        partials: List[ShardWeights],
+        fractions: np.ndarray,
+        weights: np.ndarray,
+    ) -> List[ShardBarrier]:
+        """Each shard's share of the resample, drawn from the engine generator.
+
+        Systematic resampling draws its one offset here and sends each
+        shard its mass and pick bounds (O(shards) numbers); the shards
+        derive their offspring counts themselves. The other resamplers
+        draw global indices here, and one ``bincount`` reduces them to
+        each shard's offspring counts.
+        """
+        slots = [0]
+        for partial in partials:
+            slots.append(slots[-1] + int(partial.weights.size))
+        slots = tuple(slots)
+        n = self.n_particles
+        # A tracing wrapper around the resampler keeps its identity.
+        resampler = getattr(self.resampler, "__wrapped__", self.resampler)
+        if resampler is systematic_indices:
+            u = float(self.rng.random())
+            mass, picks = systematic_shard_bounds(fractions, n, u)
+            return [
+                ShardBarrier(
+                    i, slots, (int(picks[i]), int(picks[i + 1])), u,
+                    float(mass[i]), float(fractions[i]),
+                )
+                for i in range(len(partials))
+            ]
+        indices = np.asarray(self.resampler(weights, n, self.rng))
+        counts = np.bincount(indices, minlength=n)
+        picks = np.zeros(len(partials) + 1, dtype=np.int64)
+        np.cumsum(np.add.reduceat(counts, slots[:-1]), out=picks[1:])
+        return [
+            ShardBarrier(
+                i, slots, (int(picks[i]), int(picks[i + 1])),
+                counts=counts[slots[i] : slots[i + 1]],
+            )
+            for i in range(len(partials))
+        ]
 
     def _merge_shard_outs(self, chunks: List[Any]) -> Any:
         """Concatenate per-shard step outputs in shard order.
@@ -395,48 +476,41 @@ class InferenceEngine(Node):
     def shard_export(
         self, payload: List[Particle], indices: Sequence[int]
     ) -> List[Particle]:
-        """Worker-side: the particles another shard needs at the barrier.
+        """Shard-side: the particles whose picks fill another shard's slots.
 
-        Exports travel through the coordinator as pickled messages, so
-        the receiving shard always gets private copies — a migrated
-        particle never aliases its source.
+        Always clones, so a migrated particle never aliases one its
+        source shard keeps, whether or not the rows cross a process
+        boundary on the way.
         """
-        return [payload[int(i)] for i in indices]
+        return [clone_particle(payload[int(i)]) for i in indices]
+
+    def shard_keep(
+        self, payload: List[Particle], indices: Sequence[int]
+    ) -> List[Particle]:
+        """Shard-side: the survivors that stay, cloned per ``clone_on_resample``."""
+        return self._select(payload, indices)
 
     def shard_assemble(
         self,
-        payload: List[Particle],
-        plan: Sequence[tuple],
-        imports: Dict[int, List[Particle]],
+        kept: List[Particle],
+        before: List[List[Particle]],
+        after: List[List[Particle]],
     ) -> List[Particle]:
-        """Worker-side: rebuild one shard from the barrier exchange plan.
+        """Shard-side: the resampled shard, imports around the survivors.
 
-        ``plan`` entries are ``("local", index)`` or ``("import",
-        source, row)``; the selection replays the serial re-scatter
-        exactly. Cloning follows ``clone_on_resample``, with one
-        economy: an import's first use *is* its clone (the pickle copy),
-        so only repeated uses clone again.
+        ``before`` and ``after`` are the rows imported from lower- and
+        higher-indexed shards.
         """
-        clone_all = self.clone_on_resample == "all"
-        used = set()
-        rebuilt: List[Particle] = []
-        for entry in plan:
-            if entry[0] == "local":
-                source = payload[entry[1]]
-                needs_clone = clone_all or entry in used
-            else:
-                source = imports[entry[1]][entry[2]]
-                needs_clone = entry in used
-            used.add(entry)
-            particle = clone_particle(source) if needs_clone else source
+        rebuilt = [p for rows in before for p in rows] + kept
+        rebuilt += [p for rows in after for p in rows]
+        for particle in rebuilt:
             particle.log_weight = 0.0
-            rebuilt.append(particle)
         return rebuilt
 
     def shard_commit_weights(
         self, payload: List[Particle], log_weights: np.ndarray
     ) -> List[Particle]:
-        """Worker-side: fold the step's log-weights into the particles."""
+        """Shard-side: fold the step's log-weights into the particles."""
         for particle, logw in zip(payload, log_weights):
             particle.log_weight = float(logw)
         return payload
@@ -462,7 +536,7 @@ class InferenceEngine(Node):
         if np.isneginf(log_z):
             evidence = float("-inf")
         else:
-            evidence = log_z - _log_normalizer(prev_log_weights)
+            evidence = log_z - log_normalizer(prev_log_weights)
         self.last_stats = StepStats(evidence, ess(weights), int(weights.size))
         if self.diagnostics is not None:
             self.diagnostics.record(self.last_stats)
@@ -498,25 +572,30 @@ class InferenceEngine(Node):
         later occurrences of a particle (a sharing optimization that
         changes no results, only the latency profile).
 
-        This is the barrier of the sharded plan: ancestor indices come
-        from the engine-level generator in the coordinating process, so
-        the selection is identical under every executor.
+        Ancestor indices come from the engine-level generator, so the
+        selection is reproducible at a fixed seed.
         """
-        indices = self.resampler(weights, self.n_particles, self.rng)
+        resampled = self._select(
+            particles, self.resampler(weights, self.n_particles, self.rng)
+        )
+        for particle in resampled:
+            particle.log_weight = 0.0
+        return resampled
+
+    def _select(self, particles: List[Particle], indices: Sequence[int]) -> List[Particle]:
+        """The particles at ``indices``, cloned following ``clone_on_resample``."""
         clone_all = self.clone_on_resample == "all"
         used = set()
-        resampled: List[Particle] = []
+        selected: List[Particle] = []
         for idx in indices:
             idx = int(idx)
             source = particles[idx]
             if clone_all or idx in used:
-                new_particle = clone_particle(source)
+                selected.append(clone_particle(source))
             else:
                 used.add(idx)
-                new_particle = source
-            new_particle.log_weight = 0.0
-            resampled.append(new_particle)
-        return resampled
+                selected.append(source)
+        return selected
 
     # ------------------------------------------------------------------
     def memory_words(

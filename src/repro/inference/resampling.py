@@ -15,8 +15,9 @@ textbook ``searchsorted`` formulation, bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
-from typing import Sequence
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +26,16 @@ from repro.obs.registry import count_event
 
 __all__ = [
     "normalize_log_weights",
+    "report_nan_log_weights",
+    "log_normalizer",
+    "ShardWeights",
+    "reduce_shard_weights",
     "ess",
     "systematic_indices",
+    "systematic_counts",
+    "systematic_shard_bounds",
+    "systematic_shard_counts",
+    "ancestors_from_counts",
     "stratified_indices",
     "multinomial_indices",
     "residual_indices",
@@ -52,22 +61,23 @@ def normalize_log_weights(
     weights (``-inf`` for the all-``-inf`` fallback), which is what the
     engines take the step evidence from.
     """
-    logw = np.asarray(log_weights, dtype=float)
+    w, log_z, nan_count = _normalize(np.asarray(log_weights, dtype=float))
+    if nan_count:
+        report_nan_log_weights(nan_count)
+    return (w, log_z) if return_log_normalizer else w
+
+
+def _normalize(logw: np.ndarray):
+    """``(weights, log_z, nan_count)``: the quiet core of :func:`normalize_log_weights`."""
     if logw.size == 0:
         raise InferenceError("cannot normalize an empty weight vector")
-    nan_mask = np.isnan(logw)
-    if nan_mask.any():
-        # The warning tells an interactive user once; the counter tells
-        # a long-running deployment how often.
-        count_event("repro_nan_log_weights_total", amount=int(nan_mask.sum()))
-        warnings.warn(
-            f"{int(nan_mask.sum())} NaN log-weight(s) treated as -inf "
-            "(zero weight); check the model/kernel that produced them",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        logw = np.where(nan_mask, -np.inf, logw)
     top = logw.max()
+    nan_count = 0
+    if np.isnan(top):  # the maximum propagates any NaN
+        nan_mask = np.isnan(logw)
+        nan_count = int(nan_mask.sum())
+        logw = np.where(nan_mask, -np.inf, logw)
+        top = logw.max()
     if np.isfinite(top):
         # In place, so the result is the only N-sized allocation. The
         # maximum contributes exp(0) = 1, so the total lies in [1, N].
@@ -79,7 +89,78 @@ def normalize_log_weights(
     else:
         w = np.full(logw.size, 1.0 / logw.size)
         log_z = float(top)
-    return (w, log_z) if return_log_normalizer else w
+    return w, log_z, nan_count
+
+
+def report_nan_log_weights(count: int) -> None:
+    """Count and warn about ``count`` NaN log-weights treated as ``-inf``.
+
+    The warning tells an interactive user once; the counter tells a
+    long-running deployment how often.
+    """
+    count_event("repro_nan_log_weights_total", amount=int(count))
+    warnings.warn(
+        f"{int(count)} NaN log-weight(s) treated as -inf "
+        "(zero weight); check the model/kernel that produced them",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
+def log_normalizer(log_weights: np.ndarray) -> float:
+    """``log sum_i exp(log_weights_i)``, a NaN log-weight counting as ``-inf``.
+
+    All-zero log-weights — the population after every resample — give
+    ``log n`` without a pass over ``exp``.
+    """
+    if not log_weights.any():
+        return math.log(log_weights.size)
+    logw = log_weights[~np.isnan(log_weights)]
+    top = logw.max(initial=-np.inf)
+    if not np.isfinite(top):
+        return float(top)
+    logw -= top
+    np.exp(logw, out=logw)
+    return float(top + np.log(logw.sum()))
+
+
+class ShardWeights(NamedTuple):
+    """One shard's log-weights, reduced where the shard lives.
+
+    The O(1) partials the resample barrier combines across shards, plus
+    the shard's weights normalized within the shard (the output
+    distribution scales them by the shard's mass fraction).
+    """
+
+    #: the shard's weights normalized to sum to one within the shard
+    weights: np.ndarray
+    #: ``log sum exp`` of the shard's log-weights after the step
+    log_mass: float
+    #: ``log sum exp`` of the shard's log-weights before the step
+    prev_log_mass: float
+    #: ``sum(weights ** 2)``, the shard's share of the ESS
+    sum_sq: float
+    #: NaN log-weights treated as ``-inf`` (counted by the coordinator)
+    nan_count: int
+
+
+def reduce_shard_weights(
+    log_weights: np.ndarray, prev_log_weights: np.ndarray
+) -> ShardWeights:
+    """Reduce one shard's log-weights to its :class:`ShardWeights`.
+
+    Quiet about NaNs: a reduction may run in a worker, whose metrics
+    registry nobody reads, so the coordinator reports the summed
+    ``nan_count`` once.
+    """
+    w, log_mass, nan_count = _normalize(np.asarray(log_weights, dtype=float))
+    return ShardWeights(
+        w,
+        log_mass,
+        log_normalizer(np.asarray(prev_log_weights, dtype=float)),
+        float(np.sum(w * w)),
+        nan_count,
+    )
 
 
 def _normalized_weights(weights: Sequence[float]) -> np.ndarray:
@@ -125,22 +206,34 @@ def systematic_indices(
 
     Pick ``j`` sits at ``(u + j) / n`` and selects the first particle
     whose cumulative weight reaches it. Rather than search for each
-    pick, count for every cumulative weight ``c_i`` the picks at or
-    below it, ``floor(c_i n - u) + 1`` in exact arithmetic. Pick ``j``
-    then selects the number of particles whose count is at most ``j``:
-    a ``bincount`` and a ``cumsum``, O(N) in all.
-
-    The counts are exact. Rounding moves ``c_i n - u`` by far less than
-    1/2 (about ``n * 1e-16``), so ``floor(c_i n - u + 1/2)`` is the true
-    count or one below it, and one comparison against the very
-    expression ``(u + j) / n`` a search would use settles which. The
-    indices are those of ``searchsorted(cumsum(w), (u + arange(n)) / n)``
-    bit for bit.
+    pick, :func:`systematic_counts` counts for every cumulative weight
+    the picks at or below it; pick ``j`` then selects the number of
+    particles whose count is at most ``j``: a ``bincount`` and a
+    ``cumsum``, O(N) in all. The indices are those of
+    ``searchsorted(cumsum(w), (u + arange(n)) / n)`` bit for bit.
     """
     w = _normalized_weights(weights)
     u = rng.random()
     cumulative = np.cumsum(w)
     cumulative[-1] = 1.0  # guard against round-off
+    counts = systematic_counts(cumulative, u, n)
+    del cumulative  # lowers the step's peak memory
+    # Counts of n and above (every pick at or below c) fall in the bins
+    # cut off here; the last particle's is always one of them.
+    return np.cumsum(np.bincount(counts[:-1], minlength=n + 1)[:n])
+
+
+def systematic_counts(cumulative: np.ndarray, u: float, n: int) -> np.ndarray:
+    """For each cumulative weight ``c``, the picks ``(u + j) / n`` at or below it.
+
+    In exact arithmetic that is ``floor(c n - u) + 1``. The counts are
+    exact in floating point too: rounding moves ``c n - u`` by far less
+    than 1/2 (about ``n * 1e-16``), so ``floor(c n - u + 1/2)`` is the
+    true count or one below it, and one comparison against the very
+    expression ``(u + j) / n`` a search would use settles which. The
+    counts are therefore monotone in ``c``. Consumes ``cumulative``'s
+    values only; it is not modified.
+    """
     buf = cumulative * n
     counts = np.empty(cumulative.size, dtype=np.intp)
     # c n - u + 1/2 > -1/2, so truncation gives the floor (or 0, which
@@ -149,10 +242,74 @@ def systematic_indices(
     np.add(counts, u, out=buf)
     buf /= n
     counts += buf <= cumulative
-    del buf, cumulative
-    # Counts of n and above (every pick at or below c) fall in the bins
-    # cut off here; the last particle's is always one of them.
-    return np.cumsum(np.bincount(counts[:-1], minlength=n + 1)[:n])
+    return counts
+
+
+def systematic_shard_bounds(
+    fractions: np.ndarray, n: int, u: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the systematic picks of a sharded population fall.
+
+    ``fractions`` are the shards' mass fractions (summing to one).
+    Returns ``(mass, picks)``, both of length ``S + 1``: shard ``s``
+    covers the cumulative mass ``(mass[s], mass[s + 1]]`` and owns the
+    picks ``picks[s] <= j < picks[s + 1]``, those whose position
+    ``(u + j) / n`` falls in its mass. O(shards): the coordinator's
+    whole share of systematic resampling.
+    """
+    mass = np.zeros(len(fractions) + 1)
+    np.cumsum(fractions, out=mass[1:])
+    mass[-1] = 1.0  # guard against round-off, as systematic_indices
+    np.minimum(mass, 1.0, out=mass)
+    picks = np.clip(systematic_counts(mass, u, n), 0, n)
+    picks[0], picks[-1] = 0, n
+    return mass, picks
+
+
+def systematic_shard_counts(
+    weights: np.ndarray,
+    fraction: float,
+    mass_before: float,
+    picks: Tuple[int, int],
+    u: float,
+    n: int,
+) -> np.ndarray:
+    """One shard's systematic picks, counted in the shard.
+
+    ``weights`` are the shard's weights normalized within the shard,
+    ``fraction`` its mass fraction, ``mass_before`` and ``picks`` its
+    bounds from :func:`systematic_shard_bounds`. The shard's cumulative
+    weights are ``mass_before + fraction * cumsum(weights)``;
+    :func:`systematic_counts` turns them into, for each particle, how
+    many of the shard's picks lie at or below it. Round-off past the
+    shard's mass is clipped to its last pick (the counts are monotone,
+    so that equals capping the weight), and the last particle takes
+    every remaining pick. The result is non-decreasing and ends
+    at ``picks[1] - picks[0]``; its differences are the offspring
+    counts. With one shard, the ancestors it implies are those of
+    :func:`systematic_indices`, bit for bit.
+    """
+    lo, hi = int(picks[0]), int(picks[1])
+    cumulative = np.cumsum(weights)
+    cumulative *= fraction
+    cumulative += mass_before
+    counts = systematic_counts(cumulative, u, n)
+    np.clip(counts, lo, hi, out=counts)
+    counts -= lo
+    counts[-1] = hi - lo
+    return counts
+
+
+def ancestors_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Ancestor of every pick from per-particle cumulative pick counts.
+
+    Particle ``i`` takes the picks ``counts[i - 1] <= j < counts[i]``,
+    so pick ``j``'s ancestor is the number of particles whose count is
+    at most ``j``: a ``bincount`` and a ``cumsum``, as in
+    :func:`systematic_indices`.
+    """
+    m = int(counts[-1])
+    return np.cumsum(np.bincount(counts[:-1], minlength=m + 1)[:m])
 
 
 def stratified_indices(

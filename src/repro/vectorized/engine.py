@@ -48,18 +48,16 @@ import numpy as np
 from repro.dists import Bernoulli, Categorical, Distribution
 from repro.errors import InferenceError
 from repro.exec.population import (
-    ExchangePlan,
     ResidentPopulation,
     ShardResult,
     ShardedPopulation,
-    map_step,
     shard_sizes,
     spawn_shard_rngs,
 )
 from repro.exec.shm import materialize
 from repro.inference.engine import InferenceEngine
-# Not called here (the weight pipeline is InferenceEngine._weigh), but
-# perfbench/tracer.py wraps the name in every engine module.
+# Not called here (the weight pipeline is InferenceEngine._weigh and
+# _combine), but perfbench/tracer.py wraps the name in every engine module.
 from repro.inference.resampling import normalize_log_weights  # noqa: F401
 from repro.obs.registry import count_event
 from repro.obs.spans import TELEMETRY
@@ -108,13 +106,6 @@ __all__ = [
 ]
 
 
-def _merge(pieces: List[Any]) -> Any:
-    """Concatenate per-shard array pytrees (no copy for one shard)."""
-    if len(pieces) == 1:
-        return pieces[0]
-    return concat_states(pieces)
-
-
 class VectorizedEngine(InferenceEngine):
     """Base class for engines whose state is a :class:`ParticleBatch`.
 
@@ -148,55 +139,28 @@ class VectorizedEngine(InferenceEngine):
     ) -> Tuple[Distribution, Union[ParticleBatch, ShardedPopulation]]:
         if isinstance(state, ResidentPopulation):
             return self._step_resident(state, inp)
-        sharded = isinstance(state, ShardedPopulation)
-        if sharded:
-            population = state
-        else:
-            population = ShardedPopulation.build([state], [self.rng])
+        if isinstance(state, ShardedPopulation):
+            return self._step_shards(state, inp)
+        # One batch on the engine's own generator: the classic step.
         timer = TELEMETRY.step_timer()
-        results, population = map_step(self.executor, self, population, inp)
+        result = self.step_shard(state, self.rng, inp)
         timer.mark("model_eval")
-        outs = _merge([r.outs for r in results])
         log_weights, weights = self._weigh(
-            np.concatenate([r.prev_log_weights for r in results]),
-            np.concatenate([r.step_log_weights for r in results]),
+            result.prev_log_weights, result.step_log_weights
         )
-        output = self._output_distribution(outs, weights)
+        output = self._output_distribution(result.outs, weights)
         timer.mark("weight_merge")
-
-        sizes = [r.payload.n for r in results]
+        n = result.payload.n
         if self.resample and self._should_resample():
-            # Barrier: global ancestor indices from the engine-level
-            # generator, then re-scatter contiguous slices of the
-            # survivors into the fixed shard partition.
-            indices = np.asarray(
-                self.resampler(weights, self.n_particles, self.rng)
-            )
-            merged = _merge([r.payload.state for r in results])
-            gathered = gather(merged, indices)
-            chunks, start = [], 0
-            for size in sizes:
-                chunks.append(
-                    ParticleBatch(
-                        slice_state(gathered, start, start + size), np.zeros(size)
-                    )
-                )
-                start += size
+            indices = np.asarray(self.resampler(weights, self.n_particles, self.rng))
+            gathered = gather(result.payload.state, indices)
+            batch = ParticleBatch(slice_state(gathered, 0, n), np.zeros(n))
             timer.mark("resample")
         else:
-            chunks, start = [], 0
-            for result, size in zip(results, sizes):
-                chunks.append(
-                    ParticleBatch(
-                        result.payload.state, log_weights[start : start + size]
-                    )
-                )
-                start += size
+            batch = ParticleBatch(result.payload.state, log_weights)
             timer.mark("weight_commit")
         timer.total("step")
-        if not sharded:
-            return output, chunks[0]
-        return output, population.with_payloads(chunks)
+        return output, batch
 
     def step_shard(
         self, batch: ParticleBatch, rng: np.random.Generator, inp: Any
@@ -216,56 +180,36 @@ class VectorizedEngine(InferenceEngine):
     # ------------------------------------------------------------------
     def _merge_shard_outs(self, chunks: List[Any]) -> Any:
         # Multi-shard merges concatenate (fresh arrays); a single chunk
-        # passes through _merge untouched, so zero-copy reply views must
-        # be copied out here before they escape into the output
-        # distribution — the ring region is reused next message.
+        # may be a zero-copy reply view, which must be copied out before
+        # it escapes into the output distribution — the ring region is
+        # reused next message.
         if len(chunks) == 1:
             return materialize(chunks[0])
-        return _merge(chunks)
+        return concat_states(chunks)
 
     def shard_export(self, batch: ParticleBatch, indices: Any) -> Any:
-        """Worker-side: the state rows another shard needs at the barrier."""
+        """Shard-side: the state rows whose picks fill another shard's slots."""
         return gather(batch.state, np.asarray(indices, dtype=int))
 
-    def shard_assemble(self, batch: ParticleBatch, plan: Any, imports: Any) -> ParticleBatch:
-        """Worker-side: rebuild one shard slice from the exchange plan.
+    def shard_keep(self, batch: ParticleBatch, indices: Any) -> Tuple[Any, int]:
+        """Shard-side: the survivors that stay, as ``(rows, count)``."""
+        indices = np.asarray(indices, dtype=int)
+        return (gather(batch.state, indices) if indices.size else None), int(indices.size)
 
-        Local survivors and imported row blocks are stacked into one
-        combined state, then the plan becomes a single :func:`gather` —
-        selecting exactly the rows the serial re-scatter would, so the
-        fresh arrays are bit-identical to the materialized path.
-        """
-        sources = sorted(imports)
-        offsets, total = {}, batch.n
-        for source in sources:
-            offsets[source] = total
-            total += state_rows(imports[source])
-        if sources:
-            combined = concat_states([batch.state] + [imports[s] for s in sources])
-        else:
-            combined = batch.state
-        if isinstance(plan, ExchangePlan):
-            # Array-native plan: the slot selection is pure index
-            # arithmetic, no per-slot Python loop.
-            indices = np.where(plan.kind == ExchangePlan.LOCAL, plan.a, 0)
-            for source in sources:
-                mask = (plan.kind == ExchangePlan.IMPORT) & (plan.a == source)
-                indices[mask] = offsets[source] + plan.b[mask]
-        else:
-            indices = np.fromiter(
-                (
-                    entry[1] if entry[0] == "local" else offsets[entry[1]] + entry[2]
-                    for entry in plan
-                ),
-                dtype=int,
-                count=len(plan),
-            )
-        return ParticleBatch(gather(combined, indices), np.zeros(len(plan)))
+    def shard_assemble(
+        self, kept: Tuple[Any, int], before: List[Any], after: List[Any]
+    ) -> ParticleBatch:
+        """Shard-side: the resampled slice, imported row blocks around the survivors."""
+        rows, n = kept
+        pieces = before + ([rows] if n else []) + after
+        state = pieces[0] if len(pieces) == 1 else concat_states(pieces)
+        n += sum(state_rows(block) for block in before + after)
+        return ParticleBatch(state, np.zeros(n))
 
     def shard_commit_weights(
         self, batch: ParticleBatch, log_weights: np.ndarray
     ) -> ParticleBatch:
-        """Worker-side: fold the step's log-weights into the batch."""
+        """Shard-side: fold the step's log-weights into the batch."""
         return ParticleBatch(batch.state, np.asarray(log_weights, dtype=float))
 
     def memory_words(self, state: Union[ParticleBatch, ShardedPopulation]) -> int:

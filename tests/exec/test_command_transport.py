@@ -1,7 +1,7 @@
 """The bidirectional transport: command ring, zero-copy views, fallback.
 
-Covers the parent-to-worker command ring (observations, exchange
-plans, committed weights as shm descriptors), the zero-copy view mode
+Covers the parent-to-worker command ring (observations, migrant rows,
+replayed checkpoints as shm descriptors), the zero-copy view mode
 on the reply path, the transport byte counters, and the fallback
 behaviour when a ring is undersized or disabled. The headline check:
 a steady-state no-resample step on ``processes-persistent:N`` ships
@@ -22,6 +22,7 @@ from repro.exec.shm import (
     measure_payload,
     shm_available,
 )
+from repro.faults import FaultPlan, fault_plan
 from repro.inference import infer
 from repro.obs.registry import MetricsRegistry, set_default_registry
 
@@ -216,9 +217,12 @@ class TestZeroPickledSteadyState:
             set_default_registry(previous)
             executor.close()
 
-    def test_resample_step_ships_plan_over_command_ring(self):
-        """Forcing a resample every step: the exchange plan arrays ride
-        the command ring, so the cmd direction shows shm bytes."""
+    @staticmethod
+    def _resample_step_cmd_bytes(n_particles):
+        """Command-direction payload bytes (pickled + shm) of one
+        resample step, and the bytes of the migrant rows it imported.
+        Runs without injected faults: a revival legitimately reships
+        whole checkpoints."""
         executor = PersistentProcessExecutor(
             workers=2,
             shm_bytes=PersistentProcessExecutor.DEFAULT_SHM_BYTES,
@@ -226,23 +230,41 @@ class TestZeroPickledSteadyState:
         registry = MetricsRegistry()
         previous = set_default_registry(registry)
         try:
-            engine = infer(
-                KalmanModel(), n_particles=4096, method="pf",
-                backend="vectorized", seed=7, executor=executor,
-                resample_threshold=1e9,
-            )
-            state = engine.init()
-            _, state = engine.step(state, DATA.observations[0])
-            registry.reset()
-            _, state = engine.step(state, DATA.observations[1])
+            with fault_plan(FaultPlan()):
+                engine = infer(
+                    KalmanModel(), n_particles=n_particles, method="pf",
+                    backend="vectorized", seed=7, executor=executor,
+                )
+                state = engine.init()
+                _, state = engine.step(state, DATA.observations[0])
+                registry.reset()
+                _, state = engine.step(state, DATA.observations[1])
             snap = registry.snapshot()
-            assert _counter(
+            sent = _counter(
                 snap, "repro_transport_shm_bytes_total", "cmd"
-            ) > 0
+            ) + _counter(snap, "repro_transport_pickled_bytes_total", "cmd")
+            oplogs = executor._populations[state.key].oplogs
+            migrant_bytes = sum(
+                rows.nbytes
+                for oplog in oplogs
+                for rows in oplog[-1][2].values()
+            )
+            assert all(oplog[-1][0] == "assemble" for oplog in oplogs)
             state.release()
+            return sent, migrant_bytes
         finally:
             set_default_registry(previous)
             executor.close()
+
+    def test_resample_command_bytes_do_not_grow_with_particles(self):
+        """The resample barrier ships a few numbers per shard plus the
+        migrant rows: 16x the particles adds no command bytes beyond
+        the extra migrants' rows."""
+        small, small_migrants = self._resample_step_cmd_bytes(4096)
+        large, large_migrants = self._resample_step_cmd_bytes(65536)
+        assert large_migrants > 0
+        assert large - small <= large_migrants - small_migrants
+        assert large < 65536  # under one byte per particle
 
 
 class TestRingExhaustionUnderSessions:
@@ -251,7 +273,9 @@ class TestRingExhaustionUnderSessions:
         forced-small ring: payloads overflow, the fallback counter
         climbs, and every session still matches its serial run
         bit-for-bit."""
-        executor = PersistentProcessExecutor(workers=2, shm_bytes=512)
+        # 24 particles per shard: a step reply is two 192-byte vectors
+        # (outputs, shard-normalized weights), so 256 bytes overflow.
+        executor = PersistentProcessExecutor(workers=2, shm_bytes=256)
         registry = MetricsRegistry()
         previous = set_default_registry(registry)
         server = StreamServer(executor=executor)

@@ -1,4 +1,4 @@
-"""Worker-resident execution: equivalence, exchange plan, crash recovery.
+"""Worker-resident execution: equivalence, resample barrier, crash recovery.
 
 The persistent executor's contract (ISSUE 3): shards stay resident in
 long-lived workers, yet at a fixed seed the posterior is bit-for-bit
@@ -19,7 +19,6 @@ from repro.errors import InferenceError
 from repro.exec import (
     PersistentProcessExecutor,
     ResidentPopulation,
-    build_exchange_plan,
     parse_executor,
 )
 from repro.inference import infer
@@ -39,39 +38,6 @@ def posterior_means(executor, *, method="pf", backend="scalar", n_particles=12,
         dist, state = engine.step(state, y)
         means.append(dist.mean())
     return means
-
-
-class TestExchangePlan:
-    def test_all_local_when_indices_stay_home(self):
-        plans, requests = build_exchange_plan(np.array([0, 1, 2, 3]), [2, 2])
-        assert plans == [[("local", 0), ("local", 1)],
-                         [("local", 0), ("local", 1)]]
-        assert requests == [{}, {}]
-
-    def test_migrating_ancestors_become_imports(self):
-        plans, requests = build_exchange_plan(np.array([0, 3, 3, 1]), [2, 2])
-        assert plans[0] == [("local", 0), ("import", 1, 0)]
-        assert requests[0] == {1: [1]}
-        # shard 1's slots are indices [3, 1]: one local, one import
-        assert plans[1] == [("local", 1), ("import", 0, 0)]
-        assert requests[1] == {0: [1]}
-
-    def test_repeated_ancestor_shipped_once(self):
-        plans, requests = build_exchange_plan(np.array([3, 3, 3, 3]), [2, 2])
-        assert plans[0] == [("import", 1, 0), ("import", 1, 0)]
-        assert requests[0] == {1: [1]}
-        assert plans[1] == [("local", 1), ("local", 1)]
-
-    def test_unbalanced_sizes(self):
-        plans, requests = build_exchange_plan(np.array([4, 0, 1, 2, 3]), [3, 2])
-        assert plans[0] == [("import", 1, 0), ("local", 0), ("local", 1)]
-        assert requests[0] == {1: [1]}
-        assert plans[1] == [("import", 0, 0), ("local", 0)]
-        assert requests[1] == {0: [2]}
-
-    def test_wrong_index_count_rejected(self):
-        with pytest.raises(InferenceError):
-            build_exchange_plan(np.array([0, 1]), [2, 2])
 
 
 class TestEquivalence:
@@ -129,35 +95,22 @@ class TestEquivalence:
             posterior_means("serial", **kwargs)
 
 
-def _square(x):
-    return x * x
-
-
-def _big_roundtrip(blob):
-    return blob + blob
-
-
 class TestResidentState:
-    def test_generic_map_shards_protocol(self):
-        """The persistent executor still honours the Executor protocol."""
-        executor = PersistentProcessExecutor(workers=2)
-        try:
-            assert executor.map_shards(_square, [3, 1, 2]) == [9, 1, 4]
-        finally:
-            executor.close()
-
-    def test_map_shards_with_pipe_sized_messages(self):
-        """Regression: tasks and results larger than the OS pipe buffer.
+    def test_pipe_sized_messages_with_rings_off(self):
+        """Regression: commands and replies larger than the OS pipe buffer.
 
         With naive pipelining, a worker blocked sending a large reply
         while the coordinator blocked sending the next large command
-        deadlocked; the one-in-flight pump must survive any size.
+        deadlocked; the one-in-flight pump must survive any size. With
+        the rings off, every shard load and step reply here (10k rows
+        per shard, two shards per worker) is pickled whole.
         """
-        executor = PersistentProcessExecutor(workers=2)
+        kwargs = dict(model_cls=HmmModel, backend="vectorized",
+                      n_particles=40_000, obs=OBSERVATIONS[:3])
+        executor = PersistentProcessExecutor(workers=2, shm_bytes=0)
         try:
-            blobs = [bytes([i]) * 300_000 for i in range(6)]  # > 64KB pipes
-            results = executor.map_shards(_big_roundtrip, blobs)
-            assert results == [blob + blob for blob in blobs]
+            assert posterior_means(executor, **kwargs) == \
+                posterior_means("serial", **kwargs)
         finally:
             executor.close()
 

@@ -267,7 +267,7 @@ class TestDegradationLadder:
 class TestShutdownHardening:
     def test_close_is_idempotent_and_reentrant(self):
         executor = PersistentProcessExecutor(workers=2)
-        executor.map_shards(len, [[1], [2, 3]])  # start the workers
+        executor.worker_pids()  # start the workers
         executor.close()
         executor.close()  # second close is a no-op
         assert executor._slots is None

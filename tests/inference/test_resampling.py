@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 from systematic_oracle import searchsorted_systematic_indices
 
 from repro.errors import InferenceError
+from repro.exec.population import ShardBarrier
 from repro.inference.resampling import (
     RESAMPLERS,
     ess,
     multinomial_indices,
     normalize_log_weights,
+    reduce_shard_weights,
     residual_indices,
     stratified_indices,
+    ancestors_from_counts,
     systematic_indices,
+    systematic_shard_bounds,
+    systematic_shard_counts,
 )
 
 
@@ -191,6 +196,135 @@ class TestSystematicMatchesSearchsorted:
         data = np.random.default_rng(11)
         log_weights = -0.5 * data.normal(size=250_000) ** 2
         self.assert_same(normalize_log_weights(log_weights), 250_000, 12)
+
+
+@st.composite
+def sharded_cases(draw):
+    """(per-shard log-weights, offset): 1-6 shards of random sizes
+    (one-particle shards included), random weights, some shards with
+    zero mass, all mass in shard 0, or every weight -inf."""
+    n_shards = draw(st.integers(1, 6))
+    sizes = draw(
+        st.lists(
+            st.one_of(st.just(1), st.integers(1, 40)),
+            min_size=n_shards, max_size=n_shards,
+        )
+    )
+    kind = draw(st.sampled_from(["random", "zero_mass", "first_only", "all_neg_inf"]))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shards = [data.normal(scale=3.0, size=size) for size in sizes]
+    if kind == "zero_mass":
+        dead = data.random(n_shards) < 0.5
+        dead[data.integers(n_shards)] = False
+        for shard, is_dead in zip(shards, dead):
+            if is_dead:
+                shard[:] = -np.inf
+    elif kind == "first_only":
+        for shard in shards[1:]:
+            shard[:] = -np.inf
+    elif kind == "all_neg_inf":
+        for shard in shards:
+            shard[:] = -np.inf
+    u = draw(
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]),
+            st.floats(0.0, 1.0, exclude_max=True),
+        )
+    )
+    return shards, u
+
+
+def sharded_offspring(shards, u):
+    """The sharded systematic barrier, coordinator and shards together:
+    per-shard reductions, the mass fractions, the bounds, each shard's
+    cumulative pick counts and offspring counts. Returns (fractions,
+    mass, picks, offspring, cumulative counts, reduced)."""
+    reduced = [reduce_shard_weights(logw, np.zeros_like(logw)) for logw in shards]
+    sizes = np.array([logw.size for logw in shards])
+    n = int(sizes.sum())
+    fractions, log_z = normalize_log_weights(
+        np.array([r.log_mass for r in reduced]), return_log_normalizer=True
+    )
+    if np.isneginf(log_z):
+        fractions = sizes / n
+    mass, picks = systematic_shard_bounds(fractions, n, u)
+    cumulative = [
+        systematic_shard_counts(
+            r.weights, fractions[s], mass[s], (picks[s], picks[s + 1]), u, n
+        )
+        for s, r in enumerate(reduced)
+    ]
+    counts = [np.diff(c, prepend=0) for c in cumulative]
+    return fractions, mass, picks, counts, cumulative, reduced
+
+
+class TestShardedSystematicCounts:
+    """The per-shard counting kernel: each shard derives its own
+    offspring counts from the one offset and its bounds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sharded_cases())
+    def test_counts_cover_every_pick_once_in_order(self, case):
+        shards, u = case
+        n = sum(logw.size for logw in shards)
+        _, _, picks, counts, cumulative, _ = sharded_offspring(shards, u)
+        assert all((c >= 0).all() for c in counts)
+        assert sum(int(c.sum()) for c in counts) == n
+        for s, c in enumerate(counts):
+            assert c.size == shards[s].size
+            assert int(c.sum()) == picks[s + 1] - picks[s]
+        offsets = np.cumsum([0] + [logw.size for logw in shards])
+        ancestors = np.concatenate(
+            [offsets[s] + np.repeat(np.arange(c.size), c) for s, c in enumerate(counts)]
+        )
+        assert ancestors.size == n
+        assert (np.diff(ancestors) >= 0).all()
+        # What the shards run: the same ancestors from the cumulative counts.
+        for s, c in enumerate(cumulative):
+            lo, hi = picks[s], picks[s + 1]
+            np.testing.assert_array_equal(
+                offsets[s] + ancestors_from_counts(c), ancestors[lo:hi]
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sharded_cases())
+    def test_one_shard_reproduces_systematic_indices(self, case):
+        shards, u = case
+        merged = [np.concatenate(shards)]
+        _, _, _, counts, cumulative, reduced = sharded_offspring(merged, u)
+        n = merged[0].size
+        want = systematic_indices(reduced[0].weights, n, _FixedOffset(u))
+        got = ancestors_from_counts(cumulative[0])
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.repeat(np.arange(n), counts[0]), want)
+
+    def test_zero_mass_shards_get_no_picks(self):
+        shards = [np.zeros(5), np.full(4, -np.inf), np.zeros(3)]
+        _, _, picks, counts, _, _ = sharded_offspring(shards, 0.3)
+        assert picks[1] == picks[2]
+        assert not counts[1].any()
+
+    def test_all_neg_inf_is_uniform_over_particles(self):
+        """Not uniform over shards: a 1-particle shard beside a
+        99-particle one gets about 1 pick in 100."""
+        shards = [np.full(1, -np.inf), np.full(99, -np.inf)]
+        fractions, _, picks, counts, _, _ = sharded_offspring(shards, 0.5)
+        np.testing.assert_allclose(fractions, [0.01, 0.99])
+        assert picks[1] - picks[0] == 1
+        assert (counts[1] == 1).all()
+
+    def test_all_mass_in_first_shard_reaches_the_last(self):
+        """The last shard's slots are filled from shard 0, which is not
+        its neighbour: the routes skip the shards in between."""
+        shards = [np.zeros(3), np.full(3, -np.inf), np.full(3, -np.inf)]
+        fractions, mass, picks, counts, _, _ = sharded_offspring(shards, 0.25)
+        assert int(counts[0].sum()) == 9
+        barrier = ShardBarrier(
+            0, (0, 3, 6, 9), (int(picks[0]), int(picks[1])), 0.25,
+            float(mass[0]), float(fractions[0]),
+        )
+        assert barrier.routes() == [(0, 0, 3), (1, 3, 6), (2, 6, 9)]
 
 
 class TestUnnormalizedWeights:
