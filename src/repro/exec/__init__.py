@@ -38,6 +38,7 @@ from repro.exec.executor import (
 )
 from repro.exec.population import (
     DEFAULT_SHARDS,
+    LocalPopulation,
     ResidentPopulation,
     Shard,
     ShardBarrier,
@@ -45,8 +46,6 @@ from repro.exec.population import (
     ShardResult,
     ShardSummary,
     ShardedPopulation,
-    exchange_shards,
-    map_step,
     shard_bounds,
     shard_sizes,
     spawn_shard_rngs,
@@ -79,8 +78,7 @@ __all__ = [
     "ShardSummary",
     "ShardedPopulation",
     "ResidentPopulation",
-    "map_step",
-    "exchange_shards",
+    "LocalPopulation",
     "shard_sizes",
     "shard_bounds",
     "split_sequence",

@@ -53,7 +53,7 @@ from time import monotonic, perf_counter, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import InferenceError
-from repro.exec.population import ShardHome, shard_len
+from repro.exec.population import ShardHome, route_exports, shard_len
 from repro.exec.shm import ShmRing, TransportStats, materialize, measure_payload
 from repro.exec.supervision import (
     RestartBudgetExhausted,
@@ -1050,10 +1050,7 @@ class PersistentProcessExecutor(Executor):
                 for s in range(state.n_shards)
             ]
         )
-        imports: List[Dict[int, Any]] = [{} for _ in range(state.n_shards)]
-        for source, package in enumerate(packages):
-            for dest, rows in package.items():
-                imports[dest][source] = rows
+        imports = route_exports(packages)
         self._mutate(
             state,
             [

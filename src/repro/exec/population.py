@@ -21,14 +21,19 @@ both contiguous ranges, and only the particles near a shard boundary
 can migrate. The other resamplers draw global indices in the
 coordinator; one ``bincount`` reduces them to the same per-shard
 offspring counts, which then ride the barrier instead of the offset.
+Counts keep no order, so a sharded population takes its ancestors in
+sorted order whichever resampler drew them (multinomial and residual
+draws come unsorted; the unsharded step keeps their order). So does a
+step whose total mass is not finite, which resamples from uniform
+weights.
 
 Determinism comes from fixing the *partition*, not the schedule: the
 shard count and the per-shard :class:`numpy.random.SeedSequence`
 substreams are properties of the population, chosen independently of
 the executor, and every executor runs the same shard operations
-(:class:`ShardHome`, which :func:`map_step` and :func:`exchange_shards`
-schedule over materialized shards), so any worker count — serial, 4
-threads, 4 processes — produces the same posterior bit-for-bit. Summation order
+(:class:`ShardHome`, which :class:`LocalPopulation` schedules over
+materialized shards), so any worker count — serial, 4 threads, 4
+processes — produces the same posterior bit-for-bit. Summation order
 depends on the shard count, so a different partition is a different,
 equally valid, stream.
 
@@ -73,8 +78,8 @@ __all__ = [
     "ResidentPopulation",
     "ShardBarrier",
     "ShardHome",
-    "map_step",
-    "exchange_shards",
+    "LocalPopulation",
+    "route_exports",
     "shard_len",
     "shard_sizes",
     "shard_bounds",
@@ -496,46 +501,68 @@ class ResidentPopulation:
         )
 
 
-def map_step(
-    executor: "Executor",
-    stepper: Any,
-    population: ShardedPopulation,
-    inp: Any,
-) -> Tuple[List[Tuple[Any, "ShardWeights"]], List[ShardHome]]:
-    """The map phase of one step: advance every shard under ``executor``.
+class LocalPopulation:
+    """A materialized population, stepped through one :class:`ShardHome` per shard.
 
-    Returns each shard's ``(outs, reduced weights)`` in shard order plus
-    the :class:`ShardHome` of each advanced shard, ready for the barrier.
-    The reductions run in the map tasks, so they spread over the workers.
+    The in-process counterpart of :class:`ResidentPopulation`, with the
+    same ``map_step`` / ``resample`` / ``commit_weights`` interface, so
+    the engines drive one barrier for every executor: the serial and
+    thread executors schedule the shard operations with ``map_shards``,
+    and :meth:`materialize` hands back the advanced population. The
+    shards of the input population are wrapped, not mutated.
     """
-    homes = [
-        ShardHome(Shard(shard.index, shard.rng, shard.payload), stepper)
-        for shard in population.shards
-    ]
-    return executor.map_shards(lambda home: home.step(inp), homes), homes
+
+    def __init__(
+        self, executor: "Executor", stepper: Any, population: ShardedPopulation
+    ):
+        self.executor = executor
+        self.homes = [
+            ShardHome(Shard(shard.index, shard.rng, shard.payload), stepper)
+            for shard in population.shards
+        ]
+
+    def map_step(self, inp: Any, trace: bool = False) -> List[ShardSummary]:
+        """Advance every shard; the reductions run in the map tasks."""
+        return [
+            ShardSummary(outs, weights)
+            for outs, weights in self.executor.map_shards(
+                lambda home: home.step(inp), self.homes
+            )
+        ]
+
+    def resample(self, barriers: Sequence[ShardBarrier]) -> None:
+        """Barrier with resampling: the same two rounds a worker runs."""
+        packages = self.executor.map_shards(
+            lambda pair: pair[0].resample(pair[1]), list(zip(self.homes, barriers))
+        )
+        imports = route_exports(packages)
+        self.executor.map_shards(
+            lambda i: self.homes[i].assemble(barriers[i], imports[i]),
+            range(len(self.homes)),
+        )
+
+    def commit_weights(self) -> None:
+        """Barrier without resampling: fold each shard's weights in."""
+        for home in self.homes:
+            home.commit_weights()
+
+    def materialize(self) -> ShardedPopulation:
+        """The advanced population."""
+        return ShardedPopulation([home.shard for home in self.homes])
 
 
-def exchange_shards(
-    executor: "Executor",
-    homes: Sequence[ShardHome],
-    barriers: Sequence[ShardBarrier],
-) -> ShardedPopulation:
-    """The resample barrier over materialized shards.
+def route_exports(packages: Sequence[Dict[int, Any]]) -> List[Dict[int, Any]]:
+    """Turn each source shard's exports into each destination's imports.
 
-    The same shard operations a persistent worker runs — resample, then
-    assemble once every shard has exported — scheduled by ``executor``.
+    ``packages[source]`` maps a destination shard to the rows the source
+    sends it; the result maps, for every shard, each source to the rows
+    it receives.
     """
-    packages = executor.map_shards(
-        lambda pair: pair[0].resample(pair[1]), list(zip(homes, barriers))
-    )
-    imports: List[Dict[int, Any]] = [{} for _ in homes]
+    imports: List[Dict[int, Any]] = [{} for _ in packages]
     for source, package in enumerate(packages):
         for dest, rows in package.items():
             imports[dest][source] = rows
-    executor.map_shards(
-        lambda i: homes[i].assemble(barriers[i], imports[i]), range(len(homes))
-    )
-    return ShardedPopulation([home.shard for home in homes])
+    return imports
 
 
 def shard_len(shard: Any) -> int:

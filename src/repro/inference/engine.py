@@ -53,12 +53,11 @@ from repro.exec.supervision import RestartBudgetExhausted
 from repro.obs.registry import count_event
 from repro.exec.population import (
     DEFAULT_SHARDS,
+    LocalPopulation,
     ResidentPopulation,
     ShardBarrier,
     ShardResult,
     ShardedPopulation,
-    exchange_shards,
-    map_step,
     spawn_shard_rngs,
     split_sequence,
 )
@@ -337,62 +336,59 @@ class InferenceEngine(Node):
         partials (:meth:`_combine`) and, when resampling triggers,
         sends each shard its :class:`ShardBarrier` (:meth:`_barriers`).
         Each shard then resamples itself and only the rows that change
-        shards move. The same shard operations run under every
-        executor, so the result does not depend on which one runs them.
-        Resident reply arrays are read-only views into the workers'
-        rings, valid until the next command: :meth:`_merge_shard_outs`
-        and :meth:`_combine` copy them out before the barrier is sent.
+        shards move. A resident population is its own handle; a
+        materialized one is driven through a :class:`LocalPopulation`
+        with the same interface, which runs the same shard operations,
+        so the result does not depend on the executor. Resident reply
+        arrays are read-only views into the workers' rings, valid until
+        the next command: :meth:`_merge_shard_outs` and :meth:`_combine`
+        copy them out before the barrier is sent.
         """
         resident = isinstance(population, ResidentPopulation)
+        shards = (
+            population if resident
+            else LocalPopulation(self.executor, self, population)
+        )
         timer = TELEMETRY.step_timer()
-        if resident:
-            summaries = population.map_step(inp, trace=TELEMETRY.enabled)
-            if TELEMETRY.enabled:
-                # Worker-side spans piggybacked on the step replies: fold
-                # them into the coordinator's registry at the merge point.
-                for summary in summaries:
-                    if summary.spans:
-                        TELEMETRY.recorder.record_shipped(summary.spans)
-            stepped = [(s.outs, s.weights) for s in summaries]
-        else:
-            stepped, homes = map_step(self.executor, self, population, inp)
+        summaries = shards.map_step(inp, trace=TELEMETRY.enabled)
+        if TELEMETRY.enabled:
+            # Worker-side spans piggybacked on the step replies: fold
+            # them into the coordinator's registry at the merge point.
+            for summary in summaries:
+                if summary.spans:
+                    TELEMETRY.recorder.record_shipped(summary.spans)
         timer.mark("model_eval")
-        outs = self._merge_shard_outs([outs for outs, _ in stepped])
-        partials = [partial for _, partial in stepped]
+        outs = self._merge_shard_outs([summary.outs for summary in summaries])
+        partials = [summary.weights for summary in summaries]
         weights, fractions = self._combine(partials)
         output = self._output_distribution(outs, weights)
         timer.mark("weight_merge")
         if self.resample and self._should_resample():
-            barriers = self._barriers(partials, fractions, weights)
-            if resident:
-                population.resample(barriers)
-            else:
-                population = exchange_shards(self.executor, homes, barriers)
+            shards.resample(self._barriers(partials, fractions, weights))
             timer.mark("resample")
         else:
-            if resident:
-                population.commit_weights()
-            else:
-                for home in homes:
-                    home.commit_weights()
-                population = ShardedPopulation([home.shard for home in homes])
+            shards.commit_weights()
             timer.mark("weight_commit")
         timer.total("step")
-        return output, population
+        return output, population if resident else shards.materialize()
 
-    def _combine(self, partials: List[ShardWeights]) -> Tuple[np.ndarray, np.ndarray]:
+    def _combine(
+        self, partials: List[ShardWeights]
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """The global weights and shard mass fractions; updates :attr:`last_stats`.
 
         The sharded counterpart of :meth:`_weigh`, from O(shards)
         numbers: :func:`normalize_log_weights` over the shards' log
         masses gives each shard's fraction of the mass and the log
-        normalizer, from which come the evidence and the ESS. When
-        every particle scored ``-inf`` the weights fall back to uniform
-        over particles, not over shards. NaN log-weights, treated as
+        normalizer, from which come the evidence and the ESS. When the
+        total mass is not finite (every particle scored ``-inf``, or
+        some ``+inf``) the weights fall back to uniform over particles,
+        as in :meth:`_weigh`, and the fractions are None: the shards'
+        own weights do not describe that fallback, so the barrier then
+        resamples from the global weights. NaN log-weights, treated as
         ``-inf`` where the shards reduced them, are counted and warned
         about here, once, whichever process reduced them.
         """
-        sizes = np.array([p.weights.size for p in partials])
         fractions, log_z = normalize_log_weights(
             np.array([p.log_mass for p in partials]), return_log_normalizer=True
         )
@@ -400,22 +396,28 @@ class InferenceEngine(Node):
         if nan_count:
             report_nan_log_weights(nan_count)
         if np.isneginf(log_z):
-            fractions = sizes / sizes.sum()
             evidence = float("-inf")
         else:
             evidence = log_z - log_normalizer(
                 np.array([p.prev_log_mass for p in partials])
             )
-        denom = float(np.dot(fractions * fractions, [p.sum_sq for p in partials]))
-        weights = np.empty(int(sizes.sum()))
-        start = 0
-        for fraction, partial in zip(fractions, partials):
-            stop = start + partial.weights.size
-            np.multiply(partial.weights, fraction, out=weights[start:stop])
-            start = stop
-        self.last_stats = StepStats(
-            evidence, 1.0 / denom if denom > 0.0 else 0.0, int(weights.size)
-        )
+        n = sum(p.weights.size for p in partials)
+        if np.isfinite(log_z):
+            denom = float(
+                np.dot(fractions * fractions, [p.sum_sq for p in partials])
+            )
+            weights = np.empty(n)
+            start = 0
+            for fraction, partial in zip(fractions, partials):
+                stop = start + partial.weights.size
+                np.multiply(partial.weights, fraction, out=weights[start:stop])
+                start = stop
+            self.last_stats = StepStats(
+                evidence, 1.0 / denom if denom > 0.0 else 0.0, n
+            )
+        else:
+            weights, fractions = np.full(n, 1.0 / n), None
+            self.last_stats = StepStats(evidence, ess(weights), n)
         if self.diagnostics is not None:
             self.diagnostics.record(self.last_stats)
         return weights, fractions
@@ -423,16 +425,17 @@ class InferenceEngine(Node):
     def _barriers(
         self,
         partials: List[ShardWeights],
-        fractions: np.ndarray,
+        fractions: Optional[np.ndarray],
         weights: np.ndarray,
     ) -> List[ShardBarrier]:
         """Each shard's share of the resample, drawn from the engine generator.
 
         Systematic resampling draws its one offset here and sends each
         shard its mass and pick bounds (O(shards) numbers); the shards
-        derive their offspring counts themselves. The other resamplers
-        draw global indices here, and one ``bincount`` reduces them to
-        each shard's offspring counts.
+        derive their offspring counts themselves. The other resamplers,
+        and every resampler when :meth:`_combine` fell back to uniform
+        weights (``fractions`` None), draw global indices here, and one
+        ``bincount`` reduces them to each shard's offspring counts.
         """
         slots = [0]
         for partial in partials:
@@ -441,7 +444,7 @@ class InferenceEngine(Node):
         n = self.n_particles
         # A tracing wrapper around the resampler keeps its identity.
         resampler = getattr(self.resampler, "__wrapped__", self.resampler)
-        if resampler is systematic_indices:
+        if resampler is systematic_indices and fractions is not None:
             u = float(self.rng.random())
             mass, picks = systematic_shard_bounds(fractions, n, u)
             return [

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from systematic_oracle import searchsorted_systematic_indices
 
+from repro.bench.models import KalmanModel
 from repro.errors import InferenceError
 from repro.exec.population import ShardBarrier
+from repro.inference import infer
 from repro.inference.resampling import (
     RESAMPLERS,
     ess,
@@ -325,6 +327,42 @@ class TestShardedSystematicCounts:
             float(mass[0]), float(fractions[0]),
         )
         assert barrier.routes() == [(0, 0, 3), (1, 3, 6), (2, 6, 9)]
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("kind", ["pos_inf", "all_neg_inf"])
+    def test_non_finite_mass_falls_back_like_the_unsharded_step(
+        self, kind, backend
+    ):
+        """A +inf log-weight, or -inf everywhere, leaves no finite total
+        mass: the combined weights are uniform over particles (not over
+        shards), the ESS and evidence are those of the unsharded step,
+        and the barrier's offspring are the unsharded resampler's."""
+        if kind == "pos_inf":
+            shards = [np.array([0.0, np.inf, -1.0]), np.array([-2.0, -0.5]),
+                      np.full(1, -np.inf)]
+        else:
+            shards = [np.full(3, -np.inf), np.full(2, -np.inf), np.full(1, -np.inf)]
+        n = sum(logw.size for logw in shards)
+        engine = infer(
+            KalmanModel(), n_particles=n, method="pf", backend=backend,
+            seed=3, n_shards=len(shards),
+        )
+        _, want = engine._weigh(np.zeros(n), np.concatenate(shards))
+        want_stats = engine.last_stats
+        rng_state = engine.rng.bit_generator.state
+        want_offspring = np.bincount(
+            systematic_indices(want, n, engine.rng), minlength=n
+        )
+        engine.rng.bit_generator.state = rng_state
+        partials = [reduce_shard_weights(lw, np.zeros_like(lw)) for lw in shards]
+        weights, fractions = engine._combine(partials)
+        assert fractions is None
+        np.testing.assert_array_equal(weights, want)
+        assert engine.last_stats == want_stats
+        barriers = engine._barriers(partials, fractions, weights)
+        np.testing.assert_array_equal(
+            np.concatenate([b.counts for b in barriers]), want_offspring
+        )
 
 
 class TestUnnormalizedWeights:
