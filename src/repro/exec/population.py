@@ -40,9 +40,14 @@ equally valid, stream.
 Shard payloads are opaque to this module: the scalar engines put a
 ``list`` of :class:`~repro.inference.particles.Particle` objects in each
 shard, the vectorized engines a
-:class:`~repro.vectorized.batch.ParticleBatch` slice. The engine
-supplies the per-shard stepper (``step_shard``, ``shard_export``,
-``shard_keep``, ``shard_assemble``, ``shard_commit_weights``).
+:class:`~repro.vectorized.batch.ParticleBatch` slice. The engine is the
+per-shard stepper, through the payload hooks of
+:class:`~repro.inference.engine.InferenceEngine`: ``_init_payload``
+builds each shard, ``step_shard`` advances it, ``shard_export`` /
+``shard_keep`` / ``shard_assemble`` / ``shard_commit_weights`` apply
+the barrier, ``_merge_shard_outs`` joins the per-shard outputs and
+``_payload_words`` measures a shard. The unsharded step applies its
+barrier through the same hooks, as one shard with no imports.
 
 :class:`ResidentPopulation` is the worker-resident variant of the same
 plan for :class:`~repro.exec.executor.PersistentProcessExecutor`: the

@@ -301,9 +301,7 @@ class StreamServer:
             # engine draws ancestors before the barrier: snapshot both
             # so a retry replays the identical step.
             pending_item = session.pending[0] if session.pending else None
-            rng_state = session.engine.rng.bit_generator.state
-            diagnostics = getattr(session.engine, "diagnostics", None)
-            diag_mark = len(diagnostics.steps) if diagnostics is not None else None
+            snapshot = session.engine.step_snapshot()
         try:
             dist = session.step_once()
         except Exception:
@@ -311,9 +309,7 @@ class StreamServer:
                 self._evict(session.session_id)
                 raise
             try:
-                dist = self._retry_session(
-                    session, pending_item, rng_state, diag_mark
-                )
+                dist = self._retry_session(session, pending_item, snapshot)
             except Exception:
                 self._evict(session.session_id)
                 raise
@@ -327,33 +323,27 @@ class StreamServer:
         self,
         session: StreamSession,
         pending_item: Optional[Tuple[int, Any]],
-        rng_state: Any,
-        diag_mark: Optional[int],
+        snapshot: Any,
     ) -> Distribution:
         """Rebuild a session's resident state from checkpoints; re-step.
 
-        The executor replays its checkpoint + oplog coordinator-side
-        (no worker involved), the recovered shards are loaded back into
-        the pool under a fresh key, the engine RNG and diagnostics are
-        rewound to the pre-step snapshot, and the popped observation is
-        pushed back to the head of the queue — the retried step is
-        bit-identical to what the failed one should have produced.
+        The engine rewinds the population to the pre-step ``snapshot``
+        (:meth:`~repro.inference.engine.InferenceEngine.rewind_resident`:
+        checkpoint + oplog replay, engine RNG and diagnostics restored),
+        the recovered shards are loaded back into the pool under a fresh
+        key, and the popped observation is pushed back to the head of
+        the queue — the retried step is bit-identical to what the failed
+        one should have produced.
         """
-        population = session.state
-        engine = session.engine
-        shards = population.executor.recover_population(population.key)
-        executor = population.executor
-        population.release()
-        engine.rng.bit_generator.state = rng_state
-        if diag_mark is not None:
-            del engine.diagnostics.steps[diag_mark:]
+        executor = session.state.executor
+        shards = session.engine.rewind_resident(session.state, snapshot)
         if pending_item is not None and (
             not session.pending or session.pending[0] is not pending_item
         ):
             # step_once popped the observation before failing: push it
             # back so the retried step consumes the same input.
             session.pending.appendleft(pending_item)
-        session.state = ResidentPopulation.create(executor, engine, shards)
+        session.state = ResidentPopulation.create(executor, session.engine, shards)
         session.retries += 1
         count_event("repro_session_retries_total")
         return session.step_once()

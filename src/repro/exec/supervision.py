@@ -21,7 +21,7 @@ When one slot fails repeatedly without an intervening success, the
 restart budget trips (:class:`RestartBudgetExhausted`) and the engines
 degrade the stream off the persistent pool to the serial executor —
 the whole ladder is ``processes-persistent`` → ``serial``; see
-``InferenceEngine._degrade_resident``.
+``InferenceEngine._step_resident``.
 
 Environment knobs (all validated here, mirroring ``REPRO_SHM_BYTES``):
 

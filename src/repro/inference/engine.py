@@ -55,11 +55,12 @@ from repro.exec.population import (
     DEFAULT_SHARDS,
     LocalPopulation,
     ResidentPopulation,
+    Shard,
     ShardBarrier,
     ShardResult,
     ShardedPopulation,
+    shard_sizes,
     spawn_shard_rngs,
-    split_sequence,
 )
 from repro.inference.contexts import DelayedCtx, SamplingCtx
 from repro.inference.diagnostics import DiagnosticsLog, StepStats
@@ -118,6 +119,24 @@ class InferenceEngine(Node):
     workers and the step is driven by commands. Without either knob the
     population is one shard on the engine's own generator: exactly the
     classic sequential behaviour.
+
+    This class is the only implementation of ``init``, ``step`` and
+    ``memory_words``, for every executor and both substrates. A
+    substrate supplies the *payload* of one population or shard — here
+    a list of :class:`Particle` objects, a
+    :class:`~repro.vectorized.batch.ParticleBatch` in
+    :class:`~repro.vectorized.engine.VectorizedEngine` — through these
+    hooks:
+
+    * ``_init_payload(n, rng)`` — ``n`` fresh particles; called once for
+      the whole population, or once per shard on its substream;
+    * ``step_shard(payload, rng, inp)`` — advance a payload one instant;
+    * ``shard_export`` / ``shard_keep`` / ``shard_assemble`` — the
+      resample barrier; the unsharded step resamples with
+      ``shard_assemble(shard_keep(payload, indices), [], [])``;
+    * ``shard_commit_weights`` — the barrier without resampling;
+    * ``_merge_shard_outs`` — concatenate per-shard outputs;
+    * ``_payload_words`` — live abstract words of one payload.
     """
 
     #: graph class for delayed engines; None for concrete sampling.
@@ -183,48 +202,46 @@ class InferenceEngine(Node):
             self.diagnostics = None
 
     # ------------------------------------------------------------------
-    def init(self) -> Union[List[Particle], ShardedPopulation, ResidentPopulation]:
-        particles = []
-        for _ in range(self.n_particles):
-            graph = self._fresh_graph() if self.persistent_graph else None
-            particles.append(Particle(self.model.init(), graph, 0.0))
+    def init(self) -> Union[Any, ShardedPopulation, ResidentPopulation]:
         if not self.sharded:
-            return particles
+            return self._init_payload(self.n_particles, self.rng)
         rngs = spawn_shard_rngs(self.n_shards, seed=self._seed, rng=self.rng)
+        sizes = shard_sizes(self.n_particles, self.n_shards)
         population = ShardedPopulation.build(
-            split_sequence(particles, self.n_shards), rngs
+            [self._init_payload(size, rng) for size, rng in zip(sizes, rngs)], rngs
         )
         if self.executor.resident:
             return ResidentPopulation.create(self.executor, self, population.shards)
         return population
 
     def step(
-        self, state: Union[List[Particle], ShardedPopulation], inp: Any
-    ) -> Tuple[Distribution, Union[List[Particle], ShardedPopulation]]:
+        self, state: Union[Any, ShardedPopulation, ResidentPopulation], inp: Any
+    ) -> Tuple[Distribution, Union[Any, ShardedPopulation, ResidentPopulation]]:
         if isinstance(state, ResidentPopulation):
             return self._step_resident(state, inp)
         if isinstance(state, ShardedPopulation):
             return self._step_shards(state, inp)
         # One population on the engine's own generator: the classic
-        # sequential step.
+        # sequential step, its barrier applied through the shard hooks.
         timer = TELEMETRY.step_timer()
-        result = self.step_shard(list(state), self.rng, inp)
+        result = self.step_shard(state, self.rng, inp)
         timer.mark("model_eval")
-        stepped = result.payload
         log_weights, weights = self._weigh(
             result.prev_log_weights, result.step_log_weights
         )
         output = self._output_distribution(result.outs, weights)
         timer.mark("weight_merge")
         if self.resample and self._should_resample():
-            stepped = self._resample(stepped, weights)
+            indices = self.resampler(weights, self.n_particles, self.rng)
+            payload = self.shard_assemble(
+                self.shard_keep(result.payload, indices), [], []
+            )
             timer.mark("resample")
         else:
-            for particle, logw in zip(stepped, log_weights):
-                particle.log_weight = float(logw)
+            payload = self.shard_commit_weights(result.payload, log_weights)
             timer.mark("weight_commit")
         timer.total("step")
-        return output, stepped
+        return output, payload
 
     def step_shard(
         self, particles: List[Particle], rng: np.random.Generator, inp: Any
@@ -259,72 +276,72 @@ class InferenceEngine(Node):
     # ------------------------------------------------------------------
     def _step_resident(
         self, population: ResidentPopulation, inp: Any
-    ) -> Tuple[Distribution, ResidentPopulation]:
+    ) -> Tuple[Distribution, Union[ShardedPopulation, ResidentPopulation]]:
         """Supervised resident step: degrade off the pool if it fails.
 
         Wraps :meth:`_step_shards` with the executor-degradation
-        ladder (``processes-persistent`` → ``serial``). Everything the
-        plan mutates coordinator-side before the commit barrier — the
-        engine RNG (ancestor draws) and the diagnostics log — is
-        snapshotted here, so when the persistent pool exhausts its
-        restart budget mid-step the step can be re-run from scratch
-        serially with bit-identical results.
+        ladder (``processes-persistent`` → ``serial``). When the
+        persistent pool exhausts its restart budget mid-step, the
+        population is rewound to its pre-step state
+        (:meth:`step_snapshot` / :meth:`rewind_resident`) and this
+        engine switches to :class:`SerialExecutor` — same shard
+        partition, same substreams — so the step re-runs with
+        bit-identical results. The shared persistent executor itself is
+        left alone (other engines may still hold healthy populations on
+        other slots).
         """
-        executor = population.executor
-        recoverable = hasattr(executor, "recover_population")
-        if recoverable:
-            rng_state = self.rng.bit_generator.state
-            diag_mark = (
-                len(self.diagnostics.steps)
-                if self.diagnostics is not None
-                else None
-            )
+        recoverable = hasattr(population.executor, "recover_population")
+        snapshot = self.step_snapshot() if recoverable else None
         try:
             return self._step_shards(population, inp)
         except RestartBudgetExhausted as exc:
             if not recoverable:
                 raise
-            state = self._degrade_resident(
-                population, rng_state, diag_mark, exc
+            shards = self.rewind_resident(population, snapshot)
+            count_event(
+                "repro_executor_degradations_total",
+                {"from": "processes-persistent", "to": "serial"},
             )
-            return self.step(state, inp)
+            warnings.warn(
+                f"persistent executor exhausted its restart budget ({exc}); "
+                "population recovered from checkpoints, continuing serially "
+                "(results are unchanged)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self.executor = SerialExecutor()
+            return self.step(ShardedPopulation(shards), inp)
 
-    def _degrade_resident(
-        self,
-        population: ResidentPopulation,
-        rng_state: Any,
-        diag_mark: Optional[int],
-        exc: RestartBudgetExhausted,
-    ) -> ShardedPopulation:
-        """Restart-budget exhausted: leave the persistent pool.
+    def step_snapshot(self) -> Tuple[Any, Optional[int]]:
+        """What a step mutates coordinator-side before its commit barrier.
 
-        Reassembles the population coordinator-side from the executor's
-        checkpoints + oplogs (no worker involved), rewinds the engine
-        RNG and diagnostics to the pre-step snapshot, and switches this
-        engine to :class:`SerialExecutor` — same shard partition, same
-        substreams, so the stream continues bit-identically. The shared
-        persistent executor itself is left alone (other engines may
-        still hold healthy populations on other slots).
+        The engine RNG (ancestor draws) and the length of the
+        diagnostics log: everything :meth:`rewind_resident` restores so
+        that a failed resident step can re-run bit-identically.
         """
-        executor = population.executor
-        shards = executor.recover_population(population.key)
+        diag_mark = (
+            len(self.diagnostics.steps) if self.diagnostics is not None else None
+        )
+        return self.rng.bit_generator.state, diag_mark
+
+    def rewind_resident(
+        self, population: ResidentPopulation, snapshot: Tuple[Any, Optional[int]]
+    ) -> List[Shard]:
+        """Recover a failed resident population to a :meth:`step_snapshot`.
+
+        Reassembles the shards coordinator-side from the executor's
+        checkpoints + oplogs (no worker involved), releases the handle,
+        and rewinds the engine RNG and diagnostics to the snapshot.
+        Returns the recovered shards, ready to be reloaded or stepped
+        serially.
+        """
+        shards = population.executor.recover_population(population.key)
         population.release()
+        rng_state, diag_mark = snapshot
         self.rng.bit_generator.state = rng_state
         if diag_mark is not None:
             del self.diagnostics.steps[diag_mark:]
-        count_event(
-            "repro_executor_degradations_total",
-            {"from": "processes-persistent", "to": "serial"},
-        )
-        warnings.warn(
-            f"persistent executor exhausted its restart budget ({exc}); "
-            "population recovered from checkpoints, continuing serially "
-            "(results are unchanged)",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        self.executor = SerialExecutor()
-        return ShardedPopulation(shards)
+        return shards
 
     def _step_shards(
         self, population: Union[ShardedPopulation, ResidentPopulation], inp: Any
@@ -490,8 +507,28 @@ class InferenceEngine(Node):
     def shard_keep(
         self, payload: List[Particle], indices: Sequence[int]
     ) -> List[Particle]:
-        """Shard-side: the survivors that stay, cloned per ``clone_on_resample``."""
-        return self._select(payload, indices)
+        """Shard-side: the survivors that stay, cloned per ``clone_on_resample``.
+
+        With ``clone_on_resample="all"`` (the default) every selected
+        particle is cloned, so the per-step resampling cost is
+        proportional to the total live state — the cost model of the
+        paper's runtime, where each step copies/garbage-collects the
+        particles' heap. ``"duplicates"`` clones only the second and
+        later occurrences of a particle (a sharing optimization that
+        changes no results, only the latency profile).
+        """
+        clone_all = self.clone_on_resample == "all"
+        used = set()
+        selected: List[Particle] = []
+        for idx in indices:
+            idx = int(idx)
+            source = payload[idx]
+            if clone_all or idx in used:
+                selected.append(clone_particle(source))
+            else:
+                used.add(idx)
+                selected.append(source)
+        return selected
 
     def shard_assemble(
         self,
@@ -548,6 +585,27 @@ class InferenceEngine(Node):
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
+    def _init_payload(self, n: int, rng: np.random.Generator) -> List[Particle]:
+        """``n`` fresh particles: the population, or one shard of it."""
+        return [
+            Particle(
+                self.model.init(),
+                self._fresh_graph(rng) if self.persistent_graph else None,
+                0.0,
+            )
+            for _ in range(n)
+        ]
+
+    def _payload_words(self, particles: List[Particle]) -> int:
+        """Live abstract words of one particle list (see :meth:`memory_words`)."""
+        total = 0
+        for particle in particles:
+            total += state_words(particle.state) + 2
+            if particle.graph is not None:
+                roots = [rv.node for rv in free_rvars(particle.state)]
+                total += graph_memory_words(roots)
+        return total
+
     def _fresh_graph(self, rng: Optional[np.random.Generator] = None):
         return self.graph_cls(rng=self.rng if rng is None else rng)
 
@@ -564,45 +622,9 @@ class InferenceEngine(Node):
             return True
         return self.last_stats.ess < self.resample_threshold * self.n_particles
 
-    def _resample(self, particles: List[Particle], weights) -> List[Particle]:
-        """Resample: selected particles are duplicated by cloning state.
-
-        With ``clone_on_resample="all"`` (the default) every selected
-        particle is cloned, so the per-step resampling cost is
-        proportional to the total live state — the cost model of the
-        paper's runtime, where each step copies/garbage-collects the
-        particles' heap. ``"duplicates"`` clones only the second and
-        later occurrences of a particle (a sharing optimization that
-        changes no results, only the latency profile).
-
-        Ancestor indices come from the engine-level generator, so the
-        selection is reproducible at a fixed seed.
-        """
-        resampled = self._select(
-            particles, self.resampler(weights, self.n_particles, self.rng)
-        )
-        for particle in resampled:
-            particle.log_weight = 0.0
-        return resampled
-
-    def _select(self, particles: List[Particle], indices: Sequence[int]) -> List[Particle]:
-        """The particles at ``indices``, cloned following ``clone_on_resample``."""
-        clone_all = self.clone_on_resample == "all"
-        used = set()
-        selected: List[Particle] = []
-        for idx in indices:
-            idx = int(idx)
-            source = particles[idx]
-            if clone_all or idx in used:
-                selected.append(clone_particle(source))
-            else:
-                used.add(idx)
-                selected.append(source)
-        return selected
-
     # ------------------------------------------------------------------
     def memory_words(
-        self, state: Union[List[Particle], ShardedPopulation]
+        self, state: Union[Any, ShardedPopulation, ResidentPopulation]
     ) -> int:
         """Ideal memory: live abstract words held by the particle set.
 
@@ -613,16 +635,8 @@ class InferenceEngine(Node):
         if isinstance(state, ResidentPopulation):
             state = state.materialize()
         if isinstance(state, ShardedPopulation):
-            particles = [p for chunk in state.payloads() for p in chunk]
-        else:
-            particles = state
-        total = 0
-        for particle in particles:
-            total += state_words(particle.state) + 2
-            if particle.graph is not None:
-                roots = [rv.node for rv in free_rvars(particle.state)]
-                total += graph_memory_words(roots)
-        return total
+            return sum(self._payload_words(payload) for payload in state.payloads())
+        return self._payload_words(state)
 
 
 class ImportanceSampler(InferenceEngine):

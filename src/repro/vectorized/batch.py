@@ -180,18 +180,6 @@ class ParticleBatch:
         """Number of particles in the batch."""
         return int(self.log_weights.size)
 
-    def select(self, indices: np.ndarray) -> "ParticleBatch":
-        """Resample: keep the particles at ``indices``, reset weights."""
-        indices = np.asarray(indices)
-        return ParticleBatch(
-            state=gather(self.state, indices),
-            log_weights=np.zeros(indices.size),
-        )
-
-    def with_weights(self, log_weights: np.ndarray) -> "ParticleBatch":
-        """Same states, new accumulated log-weight vector."""
-        return ParticleBatch(state=self.state, log_weights=log_weights)
-
     def memory_words(self) -> int:
         """Abstract heap words held by the batch (state + weight vector)."""
         return batch_state_words(self.state) + 1 + self.n

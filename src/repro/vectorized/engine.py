@@ -26,22 +26,25 @@ count:
   model in the batched fragment (``sds`` and ``bds``), over the generic
   array-native graph of :mod:`repro.vectorized.sds_graph`.
 
-All subclass :class:`~repro.inference.engine.InferenceEngine`, reusing
-its configuration surface (``resampler``, ``resample_threshold``,
-``clone_on_resample``, ``executor``, ``n_shards``, diagnostics) —
-``clone_on_resample`` is accepted for interface compatibility but has
-no observable effect here, because the array gather of resampling
-always materializes fresh storage for every survivor. Like the scalar
-engines, one step runs through the :mod:`repro.exec` plan: in sharded
-mode the batch is partitioned into contiguous
-:class:`~repro.vectorized.batch.ParticleBatch` slices, one per shard,
-each advanced with its own RNG substream.
+All subclass :class:`~repro.inference.engine.InferenceEngine`, which
+owns ``init``, ``step`` (unsharded, sharded and worker-resident) and
+``memory_words`` and reuses its configuration surface (``resampler``,
+``resample_threshold``, ``clone_on_resample``, ``executor``,
+``n_shards``, diagnostics). :class:`VectorizedEngine` supplies only the
+payload hooks over a :class:`~repro.vectorized.batch.ParticleBatch`:
+``_init_payload``, ``step_shard``, ``shard_export`` / ``shard_keep`` /
+``shard_assemble`` / ``shard_commit_weights``, ``_merge_shard_outs``
+and ``_payload_words``. ``clone_on_resample`` has no observable effect
+here, because the array gather of resampling always materializes fresh
+storage for every survivor. In sharded mode the batch is partitioned
+into contiguous :class:`~repro.vectorized.batch.ParticleBatch` slices,
+one per shard, each advanced with its own RNG substream.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, List, Tuple, Union
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -51,8 +54,6 @@ from repro.exec.population import (
     ResidentPopulation,
     ShardResult,
     ShardedPopulation,
-    shard_sizes,
-    spawn_shard_rngs,
 )
 from repro.exec.shm import materialize
 from repro.inference.engine import InferenceEngine
@@ -60,15 +61,16 @@ from repro.inference.engine import InferenceEngine
 # _combine), but perfbench/tracer.py wraps the name in every engine module.
 from repro.inference.resampling import normalize_log_weights  # noqa: F401
 from repro.obs.registry import count_event
-from repro.obs.spans import TELEMETRY
 from repro.runtime.node import ProbNode
 from repro.vectorized.batch import (
     ParticleBatch,
     concat_states,
     gather,
-    slice_state,
     state_rows,
 )
+# Not called here (the barrier is shard_keep/shard_assemble), but
+# perfbench/tracer.py wraps the name in this module.
+from repro.vectorized.batch import slice_state  # noqa: F401
 from repro.vectorized.dists import (
     ArrayEmpirical,
     BetaMixtureArray,
@@ -107,60 +109,23 @@ __all__ = [
 
 
 class VectorizedEngine(InferenceEngine):
-    """Base class for engines whose state is a :class:`ParticleBatch`.
+    """Base class for engines whose payload is a :class:`ParticleBatch`.
 
-    In sharded mode the engine state is a
-    :class:`~repro.exec.population.ShardedPopulation` whose payloads are
-    contiguous :class:`ParticleBatch` slices; the executor plan (map
-    shards, merge weights, resample at the barrier) mirrors the scalar
-    engines exactly, so ``executor=`` behaves identically on both
-    substrates.
+    The step cycle is :class:`~repro.inference.engine.InferenceEngine`'s;
+    this class supplies its payload hooks over a batch: ``_init_payload``
+    (a batch of ``_init_batch_state(n, rng)``), ``step_shard`` (one
+    ``_step_batch``), ``shard_export`` / ``shard_keep`` /
+    ``shard_assemble`` (row gathers and concatenations),
+    ``shard_commit_weights``, ``_merge_shard_outs`` and
+    ``_payload_words``. Unsharded, the state is one batch; sharded, a
+    :class:`~repro.exec.population.ShardedPopulation` (or resident
+    handle) of contiguous batch slices, so ``executor=`` behaves
+    identically on both substrates. Subclasses implement
+    ``_init_batch_state`` and ``_step_batch``.
     """
 
-    def init(self) -> Union[ParticleBatch, ShardedPopulation, ResidentPopulation]:
-        if not self.sharded:
-            return ParticleBatch(
-                state=self._init_batch_state(self.n_particles, self.rng),
-                log_weights=np.zeros(self.n_particles),
-            )
-        rngs = spawn_shard_rngs(self.n_shards, seed=self._seed, rng=self.rng)
-        sizes = shard_sizes(self.n_particles, self.n_shards)
-        chunks = [
-            ParticleBatch(self._init_batch_state(size, rng), np.zeros(size))
-            for size, rng in zip(sizes, rngs)
-        ]
-        population = ShardedPopulation.build(chunks, rngs)
-        if self.executor.resident:
-            return ResidentPopulation.create(self.executor, self, population.shards)
-        return population
-
-    def step(
-        self, state: Union[ParticleBatch, ShardedPopulation], inp: Any
-    ) -> Tuple[Distribution, Union[ParticleBatch, ShardedPopulation]]:
-        if isinstance(state, ResidentPopulation):
-            return self._step_resident(state, inp)
-        if isinstance(state, ShardedPopulation):
-            return self._step_shards(state, inp)
-        # One batch on the engine's own generator: the classic step.
-        timer = TELEMETRY.step_timer()
-        result = self.step_shard(state, self.rng, inp)
-        timer.mark("model_eval")
-        log_weights, weights = self._weigh(
-            result.prev_log_weights, result.step_log_weights
-        )
-        output = self._output_distribution(result.outs, weights)
-        timer.mark("weight_merge")
-        n = result.payload.n
-        if self.resample and self._should_resample():
-            indices = np.asarray(self.resampler(weights, self.n_particles, self.rng))
-            gathered = gather(result.payload.state, indices)
-            batch = ParticleBatch(slice_state(gathered, 0, n), np.zeros(n))
-            timer.mark("resample")
-        else:
-            batch = ParticleBatch(result.payload.state, log_weights)
-            timer.mark("weight_commit")
-        timer.total("step")
-        return output, batch
+    def _init_payload(self, n: int, rng: np.random.Generator) -> ParticleBatch:
+        return ParticleBatch(self._init_batch_state(n, rng), np.zeros(n))
 
     def step_shard(
         self, batch: ParticleBatch, rng: np.random.Generator, inp: Any
@@ -175,9 +140,6 @@ class VectorizedEngine(InferenceEngine):
             rng=rng,
         )
 
-    # ------------------------------------------------------------------
-    # worker-resident execution (PersistentProcessExecutor)
-    # ------------------------------------------------------------------
     def _merge_shard_outs(self, chunks: List[Any]) -> Any:
         # Multi-shard merges concatenate (fresh arrays); a single chunk
         # may be a zero-copy reply view, which must be copied out before
@@ -212,12 +174,8 @@ class VectorizedEngine(InferenceEngine):
         """Shard-side: fold the step's log-weights into the batch."""
         return ParticleBatch(batch.state, np.asarray(log_weights, dtype=float))
 
-    def memory_words(self, state: Union[ParticleBatch, ShardedPopulation]) -> int:
-        if isinstance(state, ResidentPopulation):
-            state = state.materialize()
-        if isinstance(state, ShardedPopulation):
-            return sum(batch.memory_words() for batch in state.payloads())
-        return state.memory_words()
+    def _payload_words(self, batch: ParticleBatch) -> int:
+        return batch.memory_words()
 
     # ------------------------------------------------------------------
     # hooks

@@ -19,6 +19,7 @@ from repro.errors import InferenceError
 from repro.exec import (
     PersistentProcessExecutor,
     ResidentPopulation,
+    StreamServer,
     parse_executor,
 )
 from repro.inference import infer
@@ -230,6 +231,39 @@ class TestCrashRecovery:
                 dist, state = engine.step(state, y)
                 means.append(dist.mean())
             assert means == serial
+        finally:
+            executor.close()
+
+    def test_retry_after_the_ancestor_draw_rewinds_rng_and_diagnostics(
+        self, monkeypatch
+    ):
+        """A resident step that fails after the coordinator drew its
+        resampling offset and recorded its StepStats is retried by the
+        stream server bit-identically, with one StepStats per step: the
+        engine's rewind restores the RNG and truncates the log."""
+        serial = posterior_means("serial")
+        resample = ResidentPopulation.resample
+        failures = []
+
+        def fail_once_at_step_3(population, barriers):
+            if not failures and len(engine.diagnostics.steps) == 3:
+                failures.append(population.key)
+                raise InferenceError("barrier lost")
+            return resample(population, barriers)
+
+        monkeypatch.setattr(ResidentPopulation, "resample", fail_once_at_step_3)
+        executor = PersistentProcessExecutor(workers=2, checkpoint_every=2)
+        try:
+            server = StreamServer(executor=executor)
+            server.open(HmmModel(), session_id="s0", n_particles=12, seed=3,
+                        diagnostics=True)
+            engine = server._session("s0").engine
+            server.submit_many("s0", OBSERVATIONS)
+            server.drain()
+            assert failures
+            assert server.stats()["per_session"]["s0"]["retries"] == 1
+            assert [dist.mean() for dist in server.outputs("s0")] == serial
+            assert len(engine.diagnostics.steps) == len(OBSERVATIONS)
         finally:
             executor.close()
 

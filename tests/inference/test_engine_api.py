@@ -13,6 +13,7 @@ from repro.inference import (
     infer,
 )
 from repro.inference.infer import ENGINES
+from repro.runtime.node import ProbNode
 
 
 class TestInferFactory:
@@ -162,28 +163,47 @@ class TestCloneOnResample:
         with pytest.raises(InferenceError):
             infer(KalmanModel(), clone_on_resample="sometimes")
 
-    def test_duplicates_shares_first_occurrence(self):
-        """The first pick of a particle reuses it; later picks are clones."""
+    @staticmethod
+    def resample_onto_particle_1(clone_on_resample):
+        """One unsharded step in which only particle 1 keeps any weight.
+
+        The model passes its state through unchanged, so a survivor that
+        was not cloned still holds particle 1's state object.
+        """
         from repro.inference import Particle
 
         engine = infer(
-            KalmanModel(), n_particles=4, method="pf", seed=0,
-            clone_on_resample="duplicates",
+            KeepStateScoreOne(), n_particles=4, method="pf", seed=0,
+            clone_on_resample=clone_on_resample,
         )
-        particles = [Particle(state=[float(i)], graph=None, log_weight=0.0) for i in range(4)]
-        resampled = engine._resample(particles, np.array([0.0, 1.0, 0.0, 0.0]))
-        assert sum(1 for p in resampled if p is particles[1]) == 1
-        clones = [p for p in resampled if p is not particles[1]]
+        particles = [Particle(state=[float(i)], graph=None, log_weight=-1.0) for i in range(4)]
+        _, resampled = engine.step(particles, None)
+        return particles, resampled
+
+    def test_duplicates_shares_first_occurrence(self):
+        """The first pick of a particle reuses it; later picks are clones."""
+        particles, resampled = self.resample_onto_particle_1("duplicates")
+        assert sum(1 for p in resampled if p.state is particles[1].state) == 1
+        clones = [p for p in resampled if p.state is not particles[1].state]
         assert len(clones) == 3
         for clone in clones:
             assert clone.state == [1.0]
             assert clone.state is not particles[1].state
+        assert all(p.log_weight == 0.0 for p in resampled)
 
     def test_all_clones_every_selection(self):
-        from repro.inference import Particle
-
-        engine = infer(KalmanModel(), n_particles=4, method="pf", seed=0)
-        particles = [Particle(state=[float(i)], graph=None, log_weight=0.0) for i in range(4)]
-        resampled = engine._resample(particles, np.array([0.0, 1.0, 0.0, 0.0]))
-        assert all(p is not particles[1] for p in resampled)
+        particles, resampled = self.resample_onto_particle_1("all")
+        assert all(p.state is not particles[1].state for p in resampled)
         assert all(p.state == [1.0] for p in resampled)
+        assert all(p.log_weight == 0.0 for p in resampled)
+
+
+class KeepStateScoreOne(ProbNode):
+    """Returns its state object as is; only the state ``[1.0]`` has weight."""
+
+    def init(self):
+        return [0.0]
+
+    def step(self, state, inp, ctx):
+        ctx.factor(0.0 if state == [1.0] else -np.inf)
+        return state[0], state

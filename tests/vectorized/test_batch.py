@@ -50,19 +50,6 @@ class TestParticleBatch:
         with pytest.raises(InferenceError):
             ParticleBatch(None, np.array([]))
 
-    def test_select_resets_weights(self):
-        batch = ParticleBatch(np.arange(4.0), np.array([-1.0, -2.0, -3.0, -4.0]))
-        picked = batch.select(np.array([3, 3, 0, 1]))
-        assert np.array_equal(picked.state, [3.0, 3.0, 0.0, 1.0])
-        assert np.array_equal(picked.log_weights, np.zeros(4))
-
-    def test_with_weights_shares_state(self):
-        state = np.arange(3.0)
-        batch = ParticleBatch(state, np.zeros(3))
-        rebatched = batch.with_weights(np.array([-1.0, -1.0, -1.0]))
-        assert rebatched.state is state
-        assert np.all(rebatched.log_weights == -1.0)
-
     def test_memory_words_counts_state_and_weights(self):
         batch = ParticleBatch((np.zeros(4), np.zeros(4)), np.zeros(4))
         # tuple header + two arrays (1+4 each) + weight vector (1+4)

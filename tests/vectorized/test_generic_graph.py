@@ -310,6 +310,29 @@ class TestOutlierOnGenericGraph:
             words.append(engine.memory_words(state))
         assert words[-1] == words[5]  # constant live words, no history
 
+    def test_resampling_step_clones_the_graph_structure_twice(self, monkeypatch):
+        """An unsharded resampling SDS step clones the batched graph's
+        structure exactly twice: the pre-step snapshot and the resample
+        gather (no further slice of the gathered state)."""
+        engine = infer(
+            OutlierModel(), n_particles=8, method="sds", backend="vectorized",
+            seed=0,
+        )
+        state = engine.init()
+        _, state = engine.step(state, ODATA.observations[0])  # builds the graph
+        calls = []
+        clone_structure = BatchedDSGraph._clone_structure
+
+        def counted(graph, n):
+            calls.append(n)
+            return clone_structure(graph, n)
+
+        monkeypatch.setattr(BatchedDSGraph, "_clone_structure", counted)
+        for obs in ODATA.observations[1:4]:
+            calls.clear()
+            _, state = engine.step(state, obs)
+            assert len(calls) == 2
+
     def test_output_is_gaussian_mixture(self):
         engine = infer(
             OutlierModel(), n_particles=8, method="sds", backend="vectorized",
