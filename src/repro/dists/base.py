@@ -36,7 +36,7 @@ __all__ = [
 def require_positive(name: str, value: float) -> float:
     """Validate that a scalar parameter is strictly positive."""
     value = float(value)
-    if not value > 0.0 or math.isnan(value):
+    if not value > 0.0:  # also rejects NaN
         raise DistributionError(f"{name} must be > 0, got {value!r}")
     return value
 

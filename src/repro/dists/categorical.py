@@ -114,6 +114,15 @@ class Dirichlet(Distribution):
         return f"Dirichlet(k={self.alpha.size})"
 
 
+def _as_float(v: Any) -> Any:
+    """``v`` itself when it is exactly a ``float``, else a float array.
+
+    NumPy float64 arithmetic with a plain float gives the same bits and
+    the same RuntimeWarnings as with a 0-d array, without building one.
+    """
+    return v if type(v) is float else np.asarray(v, dtype=float)
+
+
 class Empirical(Distribution):
     """Weighted empirical distribution over arbitrary support values.
 
@@ -161,7 +170,7 @@ class Empirical(Distribution):
     def mean(self) -> Any:
         acc = None
         for v, w in zip(self.values, self.weights):
-            term = np.asarray(v, dtype=float) * w
+            term = _as_float(v) * w
             acc = term if acc is None else acc + term
         if acc is not None and acc.ndim == 0:
             return float(acc)
@@ -169,9 +178,11 @@ class Empirical(Distribution):
 
     def variance(self) -> Any:
         mean = self.mean()
+        if type(mean) is float:
+            mean = np.float64(mean)  # NumPy subtraction: inf - inf warns
         acc = None
         for v, w in zip(self.values, self.weights):
-            diff = np.asarray(v, dtype=float) - mean
+            diff = _as_float(v) - mean
             term = w * diff * diff
             acc = term if acc is None else acc + term
         if acc is not None and acc.ndim == 0:

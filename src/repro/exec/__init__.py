@@ -46,10 +46,8 @@ from repro.exec.population import (
     ShardResult,
     ShardSummary,
     ShardedPopulation,
-    shard_bounds,
     shard_sizes,
     spawn_shard_rngs,
-    split_sequence,
 )
 from repro.exec.server import StreamServer, StreamSession
 from repro.exec.supervision import (
@@ -80,8 +78,6 @@ __all__ = [
     "ResidentPopulation",
     "LocalPopulation",
     "shard_sizes",
-    "shard_bounds",
-    "split_sequence",
     "spawn_shard_rngs",
     "StreamServer",
     "StreamSession",

@@ -87,8 +87,6 @@ __all__ = [
     "route_exports",
     "shard_len",
     "shard_sizes",
-    "shard_bounds",
-    "split_sequence",
     "spawn_shard_rngs",
 ]
 
@@ -108,21 +106,6 @@ def shard_sizes(n_items: int, n_shards: int) -> List[int]:
         )
     base, extra = divmod(n_items, n_shards)
     return [base + (1 if i < extra else 0) for i in range(n_shards)]
-
-
-def shard_bounds(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
-    """The ``(start, stop)`` slice of each shard in the merged order."""
-    bounds = []
-    start = 0
-    for size in shard_sizes(n_items, n_shards):
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
-def split_sequence(items: Sequence[Any], n_shards: int) -> List[List[Any]]:
-    """Split a sequence into the contiguous per-shard chunks."""
-    return [list(items[start:stop]) for start, stop in shard_bounds(len(items), n_shards)]
 
 
 def spawn_shard_rngs(

@@ -28,6 +28,13 @@ from repro.symbolic import RVar, is_symbolic
 
 __all__ = ["SamplingCtx", "DelayedCtx"]
 
+#: Exact classes that passed the full checks of :class:`SamplingCtx` (a
+#: :class:`~repro.dists.Distribution` and not a :class:`SymDist`), so later
+#: draws and scores skip the ABC ``isinstance`` dispatch. Membership
+#: depends on the class alone, so every context shares the set and it
+#: only grows, like the ABC's own subclass cache.
+_CONCRETE_DISTS: set = set()
+
 
 class SamplingCtx(ProbCtx):
     """Concrete sampling semantics (importance sampler / particle filter)."""
@@ -39,20 +46,27 @@ class SamplingCtx(ProbCtx):
         self.log_weight = 0.0
 
     def sample(self, dist: Any) -> Any:
-        if isinstance(dist, SymDist):
-            raise InferenceError(
-                "a symbolic distribution reached the sampling context; "
-                "sampling contexts only run fully concrete models"
-            )
-        if not isinstance(dist, Distribution):
-            raise InferenceError(f"sample expects a distribution, got {dist!r}")
+        cls = type(dist)
+        if cls not in _CONCRETE_DISTS:
+            if isinstance(dist, SymDist):
+                raise InferenceError(
+                    "a symbolic distribution reached the sampling context; "
+                    "sampling contexts only run fully concrete models"
+                )
+            if not isinstance(dist, Distribution):
+                raise InferenceError(f"sample expects a distribution, got {dist!r}")
+            _CONCRETE_DISTS.add(cls)
         return dist.sample(self.rng)
 
     def observe(self, dist: Any, value: Any) -> None:
-        if isinstance(dist, SymDist):
-            raise InferenceError(
-                "a symbolic distribution reached the sampling context"
-            )
+        cls = type(dist)
+        if cls not in _CONCRETE_DISTS:
+            if isinstance(dist, SymDist):
+                raise InferenceError(
+                    "a symbolic distribution reached the sampling context"
+                )
+            if isinstance(dist, Distribution):
+                _CONCRETE_DISTS.add(cls)
         self.log_weight += dist.log_pdf(value)
 
     def factor(self, log_score: float) -> None:

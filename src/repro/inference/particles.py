@@ -87,10 +87,16 @@ def _remap_value(value: Any, mapping: Dict[int, DSNode]) -> Any:
     return value
 
 
+#: State types a clone may share: immutable, with no graph references.
+_IMMUTABLE_SCALARS = (float, int, bool, str, bytes, type(None))
+
+
 def clone_particle(particle: Particle) -> Particle:
     """Deep-copy a particle: graph nodes, references, and model state."""
     graph = particle.graph
     if graph is None:
+        if isinstance(particle.state, _IMMUTABLE_SCALARS):
+            return Particle(particle.state, None, particle.log_weight)
         return Particle(
             state=clone_state_concrete(particle.state),
             graph=None,
@@ -107,7 +113,7 @@ def clone_particle(particle: Particle) -> Particle:
 
 def clone_state_concrete(state: Any) -> Any:
     """Copy a fully concrete model state (no graph references)."""
-    if isinstance(state, (int, float, bool, str, bytes, type(None))):
+    if isinstance(state, _IMMUTABLE_SCALARS):
         return state
     return copy.deepcopy(state)
 

@@ -71,9 +71,16 @@ class SymDist:
         return f"SymDist({self.kind}, {self.params!r})"
 
 
+#: Parameter types that can never hold a symbolic expression. Exact
+#: types only: a subclass (``np.float64``, a user type) still goes
+#: through :func:`is_symbolic`.
+_CONCRETE_SCALARS = frozenset((float, int, bool))
+
+
 def _lift(kind: str, concrete, *params: Any):
-    if any(is_symbolic(p) for p in params):
-        return SymDist(kind, tuple(params))
+    for p in params:
+        if type(p) not in _CONCRETE_SCALARS and is_symbolic(p):
+            return SymDist(kind, params)
     return concrete(*params)
 
 

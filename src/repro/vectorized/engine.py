@@ -50,11 +50,7 @@ import numpy as np
 
 from repro.dists import Bernoulli, Categorical, Distribution
 from repro.errors import InferenceError
-from repro.exec.population import (
-    ResidentPopulation,
-    ShardResult,
-    ShardedPopulation,
-)
+from repro.exec.population import ShardResult, ShardedPopulation
 from repro.exec.shm import materialize
 from repro.inference.engine import InferenceEngine
 # Not called here (the weight pipeline is InferenceEngine._weigh and
@@ -463,10 +459,6 @@ class VectorizedGaussianChainSDS(VectorizedEngine):
 
     def _collect_population(self, state: Any):
         """Merge any materialized engine state into one (ChainState, logw)."""
-        if isinstance(state, ResidentPopulation):  # pragma: no cover - see step()
-            population = state.materialize()
-            state.release()
-            state = population
         if isinstance(state, ShardedPopulation):
             payloads = state.payloads()
             chain_states = [batch.state for batch in payloads]

@@ -86,7 +86,8 @@ and finishes the stream there — degrading gracefully instead of
 aborting inference.
 
 Randomness is consumed in the same particle-major order as the scalar
-engines (batched ``rng.normal`` / the replicated svd path of
+engines (:func:`~repro.vectorized.kernels.gaussian_sample` / the
+replicated svd path of
 :func:`~repro.vectorized.kernels.mv_gaussian_sample`), so a fixed-seed
 run reproduces the scalar ``bds`` draws on pure chains, and all batched
 kernels are row-stable (see
@@ -142,6 +143,7 @@ from repro.vectorized.kernels import (
     gamma_log_prob,
     gamma_sample,
     gaussian_log_prob,
+    gaussian_sample,
     mv_gaussian_sample,
     neg_binomial_log_prob,
     poisson_log_prob,
@@ -267,7 +269,7 @@ def _family(name: Optional[str]) -> SlotFamily:
 register_slot_family(
     SlotFamily(
         name="gaussian",
-        sample=lambda mean, var, rng: rng.normal(mean, np.sqrt(var)),
+        sample=gaussian_sample,
         log_pdf=lambda mean, var, value: gaussian_log_prob(value, mean, var),
     )
 )

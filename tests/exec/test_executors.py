@@ -11,11 +11,9 @@ from repro.exec import (
     SerialExecutor,
     ThreadShardExecutor,
     parse_executor,
-    shard_bounds,
     shard_sizes,
     shutdown_executors,
     spawn_shard_rngs,
-    split_sequence,
 )
 from repro.exec.executor import _INSTANCES
 
@@ -155,18 +153,9 @@ class TestPartitioning:
         assert shard_sizes(8, 4) == [2, 2, 2, 2]
         assert shard_sizes(4, 4) == [1, 1, 1, 1]
 
-    def test_shard_bounds_contiguous(self):
-        bounds = shard_bounds(10, 3)
-        assert bounds == [(0, 4), (4, 7), (7, 10)]
-
     def test_too_many_shards_rejected(self):
         with pytest.raises(InferenceError):
             shard_sizes(2, 3)
-
-    def test_split_sequence_round_trips(self):
-        items = list(range(11))
-        chunks = split_sequence(items, 4)
-        assert [x for chunk in chunks for x in chunk] == items
 
     def test_spawn_rngs_deterministic_in_seed(self):
         a = spawn_shard_rngs(3, seed=7)
